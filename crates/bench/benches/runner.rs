@@ -1,22 +1,15 @@
-//! Micro-benchmarks for the sweep scheduler and the concurrent result
-//! cache, isolated from simulation work:
+//! Micro-benchmarks for the concurrent result cache, isolated from
+//! simulation work:
 //!
-//! * `sched_dispatch_{n}` — `sched::execute` over n trivial jobs at 1
-//!   and 4 workers. The 1-worker number is pure bookkeeping (no pool
-//!   spins up); the 4-worker number charges pool spin-up, LPT
-//!   assignment, stealing, and result collection — the fixed overhead a
-//!   sweep pays before any simulation runs, which must stay far below
-//!   one cell's simulation cost.
 //! * `cache_index_load_{n}` / `cache_index_lookup_{n}` — cold-opening a
 //!   cache file of n records (parse + CRC + index build, the once-per-
 //!   process cost) vs resolving n read-side lookups against a
 //!   `CacheIndex` snapshot (the per-sweep warm path, no lock per get).
-//! * `cache_append_{n}` — one `append_batch` group commit of n records
-//!   vs n per-record `record` calls on the same data: the batched
-//!   writer's one open + one write against n opens + n writes.
+//! * `cache_append_{n}` — one `append_batch` group commit of n records:
+//!   one open + one write + one snapshot republish.
 
 use hydra_bench::microbench::Criterion;
-use hydra_bench::{criterion_group, criterion_main, sched, ConcurrentCache, ResultCache};
+use hydra_bench::{criterion_group, criterion_main, ConcurrentCache};
 use std::hint::black_box;
 
 use hydra_netsim::{Policy, RunOutcome, ScenarioSpec, TopologyKind};
@@ -38,23 +31,6 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-fn bench_dispatch(c: &mut Criterion, n: usize) {
-    let mut g = c.benchmark_group(&format!("sched_dispatch_{n}"));
-    for threads in [1usize, 4] {
-        g.bench_function(format!("threads_{threads}"), |b| {
-            b.iter(|| {
-                // Trivial closures: everything measured is scheduler
-                // overhead. Costs vary so LPT actually sorts.
-                let jobs: Vec<sched::Job<'_, usize>> =
-                    (0..n).map(|i| sched::Job::one(((i * 37) % 101) as f64, move || i)).collect();
-                let (results, telemetry) = sched::execute(jobs, threads);
-                black_box((results.len(), telemetry.tasks))
-            })
-        });
-    }
-    g.finish();
-}
-
 fn bench_cache_index(c: &mut Criterion, n: u64) {
     let spec = tiny_spec();
     let outcome = spec.clone().with_seed(1).run();
@@ -62,7 +38,7 @@ fn bench_cache_index(c: &mut Criterion, n: u64) {
 
     // One file of n sealed records, written once up front.
     {
-        let cache = ResultCache::open(&dir).unwrap().shared();
+        let cache = ConcurrentCache::open(&dir).unwrap();
         let records: Vec<(u64, u64, &ScenarioSpec, &RunOutcome)> =
             (0..n).map(|h| (h, 1u64, &spec, &outcome)).collect();
         cache.append_batch(&records).unwrap();
@@ -106,20 +82,10 @@ fn bench_cache_append(c: &mut Criterion, n: u64) {
     g.bench_function("batched", |b| {
         b.iter(|| {
             let _ = std::fs::remove_file(dir.join("runs.jsonl"));
-            let cache = ResultCache::open(&dir).unwrap().shared();
+            let cache = ConcurrentCache::open(&dir).unwrap();
             let records: Vec<(u64, u64, &ScenarioSpec, &RunOutcome)> =
                 (0..n).map(|h| (h, 1u64, &spec, &outcome)).collect();
             cache.append_batch(&records).unwrap();
-            black_box(cache.len())
-        })
-    });
-    g.bench_function("per_record", |b| {
-        b.iter(|| {
-            let _ = std::fs::remove_file(dir.join("runs.jsonl"));
-            let mut cache = ResultCache::open(&dir).unwrap();
-            for h in 0..n {
-                cache.record(h, 1, &spec, &outcome).unwrap();
-            }
             black_box(cache.len())
         })
     });
@@ -128,8 +94,6 @@ fn bench_cache_append(c: &mut Criterion, n: u64) {
 }
 
 fn benches(c: &mut Criterion) {
-    bench_dispatch(c, 100);
-    bench_dispatch(c, 1_000);
     bench_cache_index(c, 1_000);
     bench_cache_append(c, 64);
 }

@@ -22,9 +22,8 @@
 use std::io::Write as _;
 
 use hydra_bench::experiments::{scale_profile_specs, shipped_sweeps};
-use hydra_bench::{CellResult, ExperimentRunner, Scheduler};
-use hydra_netsim::RunPerf;
-use hydra_netsim::{parse_scn, ScenarioSpec, TopologyKind};
+use hydra_bench::ExperimentRunner;
+use hydra_netsim::{parse_scn, RunBudget, RunPerf, ScenarioSpec, TopologyKind};
 
 #[global_allocator]
 static ALLOC: hydra_sim::CountingAlloc = hydra_sim::CountingAlloc;
@@ -52,9 +51,8 @@ options:
                        workload; adds a before/after comparison block
   --scale              also run the mesh scale grid: constant-density
                        random meshes at several node counts, each cell
-                       simulated twice — sparse medium + sharded engine
-                       vs the dense O(n^2) reference medium on the
-                       sequential engine — with outcome equality
+                       simulated twice — sparse medium vs the dense
+                       O(n^2) reference medium — with outcome equality
                        asserted and events/s + speedup recorded in a
                        `scale` block of the report
   --assert-events-per-s N
@@ -65,31 +63,26 @@ options:
                        speeds up less than X times over the dense
                        reference (wall-clock; for record-generating
                        runs on quiet machines, not shared CI runners)
-  --chaos              fault-injection proof instead of profiling: run
+  --chaos              fault-isolation proof instead of profiling: run
                        the smoke grid fault-free, re-run it with a
-                       deterministic failpoint schedule (a mid-run
-                       panic, a budget stall, a hard IO fault, plus a
-                       transient IO fault the bounded retry absorbs),
-                       assert failed cells carry FAILED(reason) labels
-                       and surviving cells are byte-identical to the
-                       fault-free pass, print `chaos=ok`, exit
+                       deterministic fault schedule (one cell panics
+                       mid-run through the runner's fault plan, one
+                       runs out of an event budget), assert the failed
+                       cells carry FAILED(reason) labels and surviving
+                       cells are byte-identical to the fault-free pass,
+                       print `chaos=ok`, exit
   --chaos-seed N       seed for the chaos fault schedule (default 7)
-  --threads LIST       scheduler mode instead of profiling: run the whole
-                       grid (flattened into one work list) at each comma-
-                       separated thread count, once per dispatch
-                       discipline (flat-cursor baseline and the cost-
-                       aware work-stealing scheduler), interleaved on the
-                       same machine. Asserts event totals are identical
-                       at every width, prints per-point makespan /
-                       efficiency / steal telemetry, adds a schedule
-                       replay (measured per-job walls placed ideally
-                       under each discipline — the machine-noise-free
-                       placement comparison), and writes the report to
+  --threads LIST       runner mode instead of profiling: run the whole
+                       grid (flattened into one job list, cache-less) at
+                       each comma-separated thread count on the same
+                       machine. Asserts event totals are identical at
+                       every width, prints per-width makespan and
+                       parallel efficiency, and writes the report to
                        results/BENCH_runner.json unless --out is given
   --assert-efficiency X
-                       with --threads: fail (exit 1) if any work-stealing
-                       point with more than one worker measures parallel
-                       efficiency (busy / (threads x makespan)) below X
+                       with --threads: fail (exit 1) if any width with
+                       more than one worker measures parallel efficiency
+                       (sum of run walls / (threads x makespan)) below X
   --note TEXT          free-form provenance note embedded in the report
   --help               this text
 ";
@@ -260,12 +253,10 @@ impl ScaleRow {
     }
 }
 
-/// Runs the mesh scale grid: each cell once on the sparse medium via
-/// the sharded engine (`run_sharded(0)`, which takes the plain
-/// sequential path on single-domain worlds) and once on the dense
-/// O(n²) reference medium, asserting the two produce identical
-/// outcomes. Wall times include world construction for both sides —
-/// each engine pays its own setup.
+/// Runs the mesh scale grid: each cell once on the sparse medium and
+/// once on the dense O(n²) reference medium, asserting the two produce
+/// identical outcomes. Wall times include world construction for both
+/// sides — each engine pays its own setup.
 fn run_scale() -> Vec<ScaleRow> {
     scale_profile_specs()
         .into_iter()
@@ -275,12 +266,12 @@ fn run_scale() -> Vec<ScaleRow> {
             };
             let (flows, domains) = (spec.effective_flows().len(), spec.build().component_count());
             let t0 = std::time::Instant::now();
-            let sparse = spec.run_sharded(0);
+            let sparse = spec.run();
             let sparse_wall_s = t0.elapsed().as_secs_f64();
             let t0 = std::time::Instant::now();
             let dense = spec.run_dense_reference();
             let dense_wall_s = t0.elapsed().as_secs_f64();
-            assert_eq!(sparse, dense, "sparse/sharded diverged from dense reference at {nodes} nodes");
+            assert_eq!(sparse, dense, "sparse diverged from dense reference at {nodes} nodes");
             let row = ScaleRow {
                 nodes,
                 side_m: area_m,
@@ -304,110 +295,68 @@ fn run_scale() -> Vec<ScaleRow> {
         .collect()
 }
 
-/// One scheduled fault of the `--chaos` proof.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Fault {
-    /// `run.mid_event` panics mid-simulation; the cell must be
-    /// isolated and render `FAILED(panic)`.
-    Panic,
-    /// `run.mid_event` latches budget exhaustion; `FAILED(budget)`.
-    BudgetStall,
-    /// `run.io` fails every attempt, exhausting the bounded retry;
-    /// `FAILED(io)`.
-    HardIo,
-    /// `run.io` fails exactly once; the retry must absorb it and the
-    /// cell must match the fault-free pass byte for byte.
-    TransientIo,
-}
-
 /// The `--chaos` proof: the smoke grid fault-free, then again under a
-/// deterministic `stream_seed`-derived fault schedule. At least three
-/// cells take killing faults (panic / budget stall / hard IO) and one
-/// more takes a transient IO fault; the sweep must complete anyway,
-/// failed cells must label themselves, and every surviving cell —
-/// transient-IO victim included — must be byte-identical to its
-/// fault-free twin.
+/// deterministic `stream_seed`-derived fault schedule. One cell panics
+/// 50 events into every replication (the runner's fault plan), another
+/// runs out of a 50-event [`RunBudget`]; the sweep must complete
+/// anyway, both failed cells must label themselves, and every other
+/// cell must be byte-identical to its fault-free twin.
 fn run_chaos(chaos_seed: u64, seeds: u64) -> ! {
-    use hydra_sim::failpoint::{self, FailAction};
     let specs = smoke_grid().remove(0).1;
     let ncells = specs.len();
-    assert!(ncells >= 4, "chaos proof needs the 4-cell smoke grid");
+    assert!(ncells >= 3, "chaos proof needs the 4-cell smoke grid");
 
-    // Victim selection: draw seed-derived cell indices until four
-    // distinct cells are picked, then pair them with the fault kinds
-    // in order. Same seed → same schedule, on any machine.
+    // Victim selection: draw seed-derived cell indices until two
+    // distinct cells are picked. Same seed → same schedule, on any
+    // machine.
     let mut victims: Vec<usize> = Vec::new();
     let mut draw = 0u64;
-    while victims.len() < 4 {
+    while victims.len() < 2 {
         let idx = (hydra_sim::stream_seed(chaos_seed, draw) % ncells as u64) as usize;
         if !victims.contains(&idx) {
             victims.push(idx);
         }
         draw += 1;
     }
-    let faults = [Fault::Panic, Fault::BudgetStall, Fault::HardIo, Fault::TransientIo];
-    let plan: Vec<(usize, Fault)> = victims.into_iter().zip(faults).collect();
-    let planned = |i: usize| plan.iter().find(|(v, _)| *v == i).map(|&(_, f)| f);
+    let (panicked, starved) = (victims[0], victims[1]);
 
-    let runner = ExperimentRunner::sequential();
-    failpoint::disarm_all();
-    let baseline: Vec<CellResult> =
-        specs.iter().map(|s| runner.run_sweep(std::slice::from_ref(s), seeds).remove(0)).collect();
+    let baseline = ExperimentRunner::sequential().run_sweep(&specs, seeds);
     if let Some(bad) = baseline.iter().find(|c| c.failed()) {
         die(&format!("fault-free baseline already fails: {}", bad.failed_label()));
     }
 
+    let mut chaos_specs = specs.clone();
+    chaos_specs[starved].budget = Some(RunBudget::events(50));
+    let runner = ExperimentRunner::new(2).with_faults((1..=seeds).map(|rep| ((panicked, rep), 50)));
     // The injected panics are expected; keep them off stderr so the CI
     // log shows only the verdict lines.
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let chaos: Vec<CellResult> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            failpoint::disarm_all();
-            match planned(i) {
-                Some(Fault::Panic) => failpoint::arm("run.mid_event", FailAction::Panic, 50, u64::MAX),
-                Some(Fault::BudgetStall) => failpoint::arm("run.mid_event", FailAction::Stall, 50, u64::MAX),
-                Some(Fault::HardIo) => failpoint::arm("run.io", FailAction::Io, 0, u64::MAX),
-                Some(Fault::TransientIo) => failpoint::arm("run.io", FailAction::Io, 0, 1),
-                None => {}
-            }
-            let cell = runner.run_sweep(std::slice::from_ref(s), seeds).remove(0);
-            failpoint::disarm_all();
-            cell
-        })
-        .collect();
+    let chaos = runner.run_sweep(&chaos_specs, seeds);
     std::panic::set_hook(prev_hook);
 
     let mut failed = 0usize;
     for (i, (b, c)) in baseline.iter().zip(&chaos).enumerate() {
-        match planned(i) {
-            Some(fault @ (Fault::Panic | Fault::BudgetStall | Fault::HardIo)) => {
-                let expect = match fault {
-                    Fault::Panic => "FAILED(panic)",
-                    Fault::BudgetStall => "FAILED(budget)",
-                    _ => "FAILED(io)",
-                };
-                if !c.failed() || c.failed_label() != expect {
-                    die(&format!(
-                        "chaos cell {i}: expected {expect}, got failed={} label={}",
-                        c.failed(),
-                        c.failed_label()
-                    ));
+        let expect = if i == panicked {
+            Some("FAILED(panic)")
+        } else if i == starved {
+            Some("FAILED(budget)")
+        } else {
+            None
+        };
+        match expect {
+            Some(expect) => {
+                if !c.runs.iter().all(Result::is_err) || c.failed_label() != expect {
+                    die(&format!("chaos cell {i}: expected {expect}, got label={}", c.failed_label()));
                 }
-                eprintln!("chaos cell {i}: {} (injected {fault:?}, isolated)", c.failed_label());
+                eprintln!("chaos cell {i}: {expect} (injected, isolated)");
                 failed += 1;
             }
-            Some(Fault::TransientIo) | None => {
+            None => {
                 if c.runs != b.runs {
                     die(&format!("chaos cell {i}: surviving cell diverged from the fault-free run"));
                 }
-                let note = match planned(i) {
-                    Some(_) => "transient IO absorbed by retry, ",
-                    None => "",
-                };
-                eprintln!("chaos cell {i}: ok ({note}byte-identical to fault-free)");
+                eprintln!("chaos cell {i}: ok (byte-identical to fault-free)");
             }
         }
     }
@@ -415,208 +364,103 @@ fn run_chaos(chaos_seed: u64, seeds: u64) -> ! {
     std::process::exit(0);
 }
 
-/// One `(scheduler, threads)` measurement of the `--threads` mode.
-struct SchedPoint {
-    scheduler: &'static str,
+/// One width of the `--threads` mode.
+struct WidthPoint {
     threads: usize,
-    jobs: u64,
-    shard_tasks: u64,
-    steals: u64,
-    stolen_tasks: u64,
     makespan_ms: f64,
+    /// Σ `RunPerf::wall_ms` over the pass's runs.
     busy_ms: f64,
-    efficiency: f64,
     events: u64,
 }
 
-/// Greedy list scheduling of measured per-job walls in a given order:
-/// each job lands on the earliest-free worker. With `order` = submission
-/// order this replays the flat cursor; with `order` = predicted-cost
-/// descending it replays LPT placement. Machine noise cancels because
-/// both replays place the *same* measured walls.
-fn list_makespan(walls: &[f64], order: &[usize], threads: usize) -> f64 {
-    let mut free = vec![0.0f64; threads.max(1)];
-    for &j in order {
-        let w = (0..free.len()).min_by(|&a, &b| free[a].partial_cmp(&free[b]).unwrap()).unwrap();
-        free[w] += walls[j].max(0.0);
+impl WidthPoint {
+    /// `busy / (threads × makespan)`: 1.0 = every worker busy end to
+    /// end; lower = idle tails. The complement of perfbench's
+    /// `bench.runner.idle_frac`.
+    fn efficiency(&self) -> f64 {
+        (self.busy_ms / (self.threads as f64 * self.makespan_ms).max(1e-9)).min(1.0)
     }
-    free.iter().cloned().fold(0.0, f64::max)
 }
 
-/// The `--threads` mode: the whole grid flattened into one work list,
-/// run cache-less at every requested width under both dispatch
-/// disciplines, interleaved on the same machine. Event totals are
-/// asserted identical across widths (the determinism claim measured,
-/// not assumed), telemetry and a measured-wall schedule replay go into
-/// a `hydra-agg.bench-runner.v1` report, and `--assert-efficiency`
-/// turns the work-stealing points into a CI gate.
+/// The `--threads` mode: the whole grid flattened into one job list,
+/// run cache-less at every requested width on the same machine. Event
+/// totals are asserted identical across widths (the determinism claim
+/// measured, not assumed), makespan and efficiency go into a
+/// `hydra-agg.bench-runner.v2` report, and `--assert-efficiency` turns
+/// the multi-worker points into a CI gate.
 fn run_threads(args: &Args, widths: &[usize]) -> ! {
     let grids = match args.grid.as_str() {
         "full" => shipped_sweeps().into_iter().map(|(n, s)| (n.to_string(), s)).collect(),
         "smoke" => smoke_grid(),
         other => die(&format!("unknown grid `{other}` (full|smoke)")),
     };
-    // One flat work list: the scheduler's job is placement across the
+    // One flat job list: the runner's job is placement across the
     // *whole* session, not within one small sweep.
     let specs: Vec<ScenarioSpec> = grids.into_iter().flat_map(|(_, s)| s).collect();
-    let njobs = specs.len() as u64 * args.seeds;
-    // Predicted costs in submission order — the ordering key the
-    // work-stealing scheduler actually uses for these (cache-less) runs.
-    let predicted: Vec<f64> = specs
-        .iter()
-        .flat_map(|s| std::iter::repeat_n(ExperimentRunner::predicted_cost(s), args.seeds as usize))
-        .collect();
+    let njobs = specs.len() * args.seeds as usize;
 
-    let disciplines: [(&'static str, Scheduler); 2] =
-        [("flat_cursor", Scheduler::FlatCursor), ("work_stealing", Scheduler::WorkStealing)];
-    let measure = |name: &'static str, sched: Scheduler, threads: usize| -> (SchedPoint, Vec<f64>) {
-        let runner = ExperimentRunner::new(threads).with_scheduler(sched);
-        let cells = runner.run_sweep(&specs, args.seeds);
-        let mut events = 0u64;
-        for cell in &cells {
-            for run in &cell.runs {
+    let points: Vec<WidthPoint> = widths
+        .iter()
+        .map(|&threads| {
+            let t0 = std::time::Instant::now();
+            let cells = ExperimentRunner::new(threads).run_sweep(&specs, args.seeds);
+            let makespan_ms = t0.elapsed().as_secs_f64() * 1e3;
+            let (mut events, mut busy_ms) = (0u64, 0.0);
+            for run in cells.iter().flat_map(|c| &c.runs) {
                 match run {
-                    Ok(outcome) => events += outcome.perf.events_processed,
-                    Err(e) => die(&format!("run failed under {name} x{threads}: {e}")),
+                    Ok(outcome) => {
+                        events += outcome.perf.events_processed;
+                        busy_ms += outcome.perf.wall_ms;
+                    }
+                    Err(e) => die(&format!("run failed at {threads} threads: {e}")),
                 }
             }
-        }
-        let t = runner.telemetry();
-        let walls: Vec<f64> = t.per_job.iter().map(|j| j.wall_ms).collect();
-        let point = SchedPoint {
-            scheduler: name,
-            threads,
-            jobs: t.jobs,
-            shard_tasks: t.shard_tasks,
-            steals: t.steals,
-            stolen_tasks: t.stolen_tasks,
-            makespan_ms: t.makespan_ms,
-            busy_ms: t.busy_ms,
-            efficiency: t.parallel_efficiency(),
-            events,
-        };
-        eprintln!(
-            "{name} x{threads}: {} jobs (+{} shard tasks), makespan {:.1} ms, busy {:.1} ms, efficiency {:.2}, {} steals ({} tasks moved)",
-            point.jobs, point.shard_tasks, point.makespan_ms, point.busy_ms, point.efficiency,
-            point.steals, point.stolen_tasks,
-        );
-        (point, walls)
-    };
-
-    let mut points: Vec<SchedPoint> = Vec::new();
-    // Measured per-job walls from the sequential work-stealing pass —
-    // the replay basis (sequential walls are steal- and
-    // contention-free, so they are the cleanest per-job cost record).
-    let mut basis_walls: Option<Vec<f64>> = None;
-    for &threads in widths {
-        for (name, sched) in disciplines {
-            let (point, walls) = measure(name, sched, threads);
-            if sched == Scheduler::WorkStealing && threads == 1 {
-                basis_walls = Some(walls);
-            }
-            points.push(point);
-        }
-    }
-    let basis_walls = basis_walls.unwrap_or_else(|| measure("work_stealing", Scheduler::WorkStealing, 1).1);
-
-    // Determinism, measured: per discipline, every width simulated the
-    // identical event total. Across disciplines the totals also agree
-    // unless decomposition ran (sharded runs process a few extra
-    // per-domain bookkeeping events; results still match — see the
-    // determinism tests).
-    for (name, _) in disciplines {
-        let mine: Vec<&SchedPoint> = points.iter().filter(|p| p.scheduler == name).collect();
-        for p in &mine {
-            assert_eq!(
-                p.events, mine[0].events,
-                "{name}: event total changed between {} and {} threads",
-                mine[0].threads, p.threads,
+            let point = WidthPoint { threads: threads.min(njobs), makespan_ms, busy_ms, events };
+            eprintln!(
+                "x{threads}: {njobs} jobs, makespan {makespan_ms:.1} ms, busy {busy_ms:.1} ms, efficiency {:.2}",
+                point.efficiency(),
             );
-            assert_eq!(p.jobs, njobs, "{name} x{}: job count mismatch", p.threads);
-        }
-    }
-    if points.iter().all(|p| p.shard_tasks == 0) {
-        assert_eq!(
-            points.iter().filter(|p| p.scheduler == "flat_cursor").map(|p| p.events).next(),
-            points.iter().filter(|p| p.scheduler == "work_stealing").map(|p| p.events).next(),
-            "undecomposed schedulers must simulate identical event totals",
-        );
-    }
-
-    // Schedule replay: the measured sequential walls placed greedily
-    // under each discipline's order at each width. This isolates
-    // placement quality from machine noise and core count — on a
-    // single-core container the *measured* multi-thread makespans
-    // cannot improve, but the placement comparison still can.
-    let submission: Vec<usize> = (0..basis_walls.len()).collect();
-    let mut lpt_order = submission.clone();
-    lpt_order.sort_by(|&a, &b| predicted[b].partial_cmp(&predicted[a]).unwrap_or(std::cmp::Ordering::Equal));
-    struct Replay {
-        threads: usize,
-        flat_ms: f64,
-        lpt_ms: f64,
-    }
-    let replays: Vec<Replay> = widths
-        .iter()
-        .map(|&threads| Replay {
-            threads,
-            flat_ms: list_makespan(&basis_walls, &submission, threads),
-            lpt_ms: list_makespan(&basis_walls, &lpt_order, threads),
+            point
         })
         .collect();
-    for r in &replays {
-        eprintln!(
-            "replay x{}: flat cursor {:.1} ms, LPT {:.1} ms ({:.2}x)",
-            r.threads,
-            r.flat_ms,
-            r.lpt_ms,
-            r.flat_ms / r.lpt_ms.max(1e-9),
+
+    // Determinism, measured: every width simulated the identical event
+    // total.
+    for p in &points {
+        assert_eq!(
+            p.events, points[0].events,
+            "event total changed between {} and {} threads",
+            points[0].threads, p.threads,
         );
     }
 
     let mut j = String::new();
     j.push_str("{\n");
-    j.push_str("  \"schema\": \"hydra-agg.bench-runner.v1\",\n");
+    j.push_str("  \"schema\": \"hydra-agg.bench-runner.v2\",\n");
     j.push_str(&format!("  \"grid\": {},\n", quote(&args.grid)));
     j.push_str(&format!("  \"seeds\": {},\n", args.seeds));
-    j.push_str(&format!("  \"jobs\": {},\n", njobs));
-    j.push_str(&format!("  \"machine_cores\": {},\n", hydra_sim::parallel::total()));
+    j.push_str(&format!("  \"jobs\": {njobs},\n"));
+    j.push_str(&format!(
+        "  \"machine_cores\": {},\n",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    ));
     if let Some(note) = &args.note {
         j.push_str(&format!("  \"note\": {},\n", quote(note)));
     }
-    j.push_str("  \"measurement_note\": \"each point is one cache-less pass over the flattened grid; points interleave disciplines at each width on the same machine. busy/makespan walls are wall-clock: on a machine with fewer cores than threads the measured multi-thread makespans reflect oversubscription, which is why the replay block exists\",\n");
+    j.push_str("  \"measurement_note\": \"each point is one cache-less pass over the flattened grid, widths run back to back on the same machine; makespan is the pass's wall clock, busy the sum of the runs' own walls, efficiency busy / (threads x makespan). On a machine with fewer cores than threads the multi-thread points reflect oversubscription\",\n");
     j.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         j.push_str(&format!(
-            "    {{\"scheduler\": {}, \"threads\": {}, \"jobs\": {}, \"shard_tasks\": {}, \"steals\": {}, \"stolen_tasks\": {}, \"makespan_ms\": {:.1}, \"busy_ms\": {:.1}, \"efficiency\": {:.3}, \"events_processed\": {}}}{}\n",
-            quote(p.scheduler),
+            "    {{\"threads\": {}, \"makespan_ms\": {:.1}, \"busy_ms\": {:.1}, \"efficiency\": {:.3}, \"events_processed\": {}}}{}\n",
             p.threads,
-            p.jobs,
-            p.shard_tasks,
-            p.steals,
-            p.stolen_tasks,
             p.makespan_ms,
             p.busy_ms,
-            p.efficiency,
+            p.efficiency(),
             p.events,
             if i + 1 < points.len() { "," } else { "" },
         ));
     }
-    j.push_str("  ],\n");
-    j.push_str("  \"replay\": {\n");
-    j.push_str("    \"note\": \"measured sequential per-job walls placed greedily (earliest-free worker) in submission order vs predicted-cost-descending order — the machine-noise-free placement comparison\",\n");
-    j.push_str("    \"widths\": [\n");
-    for (i, r) in replays.iter().enumerate() {
-        j.push_str(&format!(
-            "      {{\"threads\": {}, \"flat_cursor_ms\": {:.1}, \"lpt_ms\": {:.1}, \"improvement\": {:.3}}}{}\n",
-            r.threads,
-            r.flat_ms,
-            r.lpt_ms,
-            r.flat_ms / r.lpt_ms.max(1e-9),
-            if i + 1 < replays.len() { "," } else { "" },
-        ));
-    }
-    j.push_str("    ]\n  }\n}\n");
+    j.push_str("  ]\n}\n");
 
     let out = if args.out_set { args.out.clone() } else { "results/BENCH_runner.json".to_string() };
     if let Some(dir) = std::path::Path::new(&out).parent() {
@@ -626,20 +470,21 @@ fn run_threads(args: &Args, widths: &[usize]) -> ! {
 
     // Deterministic lines for CI diffing (no wall times).
     println!("events_processed_total={}", points[0].events);
-    println!("scheduler_points={} jobs={}", points.len(), njobs);
+    println!("width_points={} jobs={njobs}", points.len());
     if let Some(floor) = args.assert_efficiency {
-        for p in points.iter().filter(|p| p.scheduler == "work_stealing" && p.threads > 1) {
-            if p.efficiency < floor {
+        for p in points.iter().filter(|p| p.threads > 1) {
+            if p.efficiency() < floor {
                 eprintln!(
-                    "EFFICIENCY FLOOR FAILED: work_stealing x{} measured {:.3} (< {floor} floor)",
-                    p.threads, p.efficiency,
+                    "EFFICIENCY FLOOR FAILED: x{} measured {:.3} (< {floor} floor)",
+                    p.threads,
+                    p.efficiency()
                 );
                 std::process::exit(1);
             }
         }
         eprintln!("efficiency floor {floor}: ok");
     }
-    eprintln!("scheduler report -> {out}");
+    eprintln!("runner report -> {out}");
     std::process::exit(0);
 }
 
@@ -777,7 +622,7 @@ fn main() {
             ));
         }
         j.push_str("  ],\n");
-        j.push_str("  \"scale_note\": \"constant-density random meshes, pure CBR (nodes/4 flows); each cell run on the sparse medium + sharded engine and on the dense O(n^2) reference medium + sequential engine, outcomes asserted identical; wall times include world construction\",\n");
+        j.push_str("  \"scale_note\": \"constant-density random meshes, pure CBR (nodes/4 flows); each cell run on the sparse medium and on the dense O(n^2) reference medium, outcomes asserted identical; wall times include world construction\",\n");
     }
     j.push_str(&format!(
         "  \"total\": {{\"events_processed\": {}, \"events_stale\": {}, \"timer_rearms\": {}, \"stale_ratio\": {:.4}, \"wall_s\": {:.2}, \"events_per_sec\": {:.0}, \"allocations\": {}, \"allocations_per_1k_events\": {:.1}}}",

@@ -26,9 +26,8 @@ pub mod microbench;
 pub mod paper;
 pub mod report;
 pub mod runner;
-pub mod sched;
 pub mod sweeps;
 
 pub use report::Table;
-pub use runner::{CellResult, ExperimentRunner, RunnerTelemetry, Scheduler};
+pub use runner::{CellResult, ExperimentRunner};
 pub use sweeps::{CacheIndex, CacheStats, ConcurrentCache, ResultCache, SharedCache, CACHE_SCHEMA};

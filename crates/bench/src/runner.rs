@@ -3,34 +3,32 @@
 //! Every table and figure in this harness is a *sweep*: a list of
 //! [`ScenarioSpec`]s, each replicated over some number of seeds, with
 //! the per-run results folded into a table. [`ExperimentRunner`] expands
-//! a sweep into a flat work list, predicts each job's cost, executes
-//! the list on a cost-aware work-stealing pool ([`crate::sched`]), and
-//! hands the outcomes back in sweep order.
+//! a sweep into a flat job list, runs it on a few OS threads, and hands
+//! the outcomes back in sweep order.
 //!
-//! ## Scheduling
+//! ## Dispatch
 //!
-//! The default [`Scheduler::WorkStealing`] dispatch places jobs
-//! longest-predicted-first (LPT) so a sweep's long pole — e.g. one
-//! 1000-node mesh among dozens of 20-node paper cells — starts
-//! immediately instead of landing last on a busy worker, and idle
-//! workers steal from busy ones through the tail. Costs come from
+//! Jobs run longest-predicted-first (LPT): the fresh jobs are sorted by
+//! descending predicted cost (ties by job index) and worker threads
+//! claim them through one shared atomic cursor over that order, so a
+//! sweep's long pole — e.g. one 1000-node mesh among dozens of 20-node
+//! paper cells — starts immediately instead of landing last on a busy
+//! worker. Each result lands in its job's slot, so the output is in job
+//! order whatever the placement. Costs come from
 //! [`ExperimentRunner::predicted_cost`], a spec-feature model
 //! (nodes × flows × span × rate), *calibrated* by recorded event counts
 //! when the attached cache has seen the spec before. Cost predictions
-//! only ever reorder work; results are byte-identical in any order.
+//! only ever reorder work; results are byte-identical in any order. A
+//! one-thread runner skips the sort and runs jobs in job order on the
+//! caller's thread.
 //!
-//! Sufficiently large multi-domain cells additionally decompose into
-//! per-collision-domain subtasks ([`hydra_netsim::ShardPlan`]) that run
-//! as first-class pool tasks — intra-cell parallelism on the *same*
-//! worker budget, cooperating with the pool instead of nesting blind
-//! thread spawns. The decomposition decision is a **pure function of
-//! the spec and runner configuration** — never of the thread count, the
-//! machine, or cache contents — so a given runner produces the same
-//! event totals at every thread count.
+//! ## Faults
 //!
-//! [`Scheduler::FlatCursor`] keeps the previous dispatch (a shared
-//! atomic cursor over submission order) as the reference baseline the
-//! profile harness compares against.
+//! A runner may carry a fault plan ([`ExperimentRunner::with_faults`]):
+//! chosen `(cell, replication)` jobs panic at a given event. The plan
+//! travels with the job into its own world
+//! ([`ScenarioSpec::try_run_faulted`]), so no other run — in this
+//! runner or any other, on any thread — can see it.
 //!
 //! Determinism: each run's world seed is derived from the spec's
 //! [`ScenarioSpec::stable_hash`] (which covers every field, including
@@ -44,18 +42,18 @@
 //! `seed` field verbatim for compatibility with the paper-era
 //! `TcpScenario`/`UdpScenario` front-ends.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, OnceLock};
 
-use hydra_netsim::{FlowTraffic, RunError, RunOutcome, ScenarioSpec, ShardPlan, TopologyKind};
+use hydra_netsim::{FlowTraffic, RunError, RunOutcome, ScenarioSpec, TopologyKind};
 use hydra_sim::stream_seed;
 
-use crate::sched::{self, JobStats, PoolTelemetry};
 use crate::sweeps::SharedCache;
 
 /// All replications of one sweep cell — failure-aware: a replication
-/// that panicked, tripped its [`hydra_netsim::RunBudget`], or hit a
-/// hard IO fault is an `Err` entry, and every accessor below stays
+/// that panicked or tripped its [`hydra_netsim::RunBudget`] is an `Err`
+/// entry, and every accessor below stays
 /// total over such cells (no NaN means, no index panics).
 #[derive(Debug, Clone)]
 pub struct CellResult {
@@ -131,75 +129,6 @@ impl CellResult {
     }
 }
 
-/// Which dispatch discipline drains the work list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// The previous engine: workers pull jobs in submission order off a
-    /// shared atomic cursor. Kept as the baseline the profile harness
-    /// measures the scheduler against; never decomposes cells.
-    FlatCursor,
-    /// Cost-aware LPT placement with work stealing and intra-cell
-    /// domain decomposition (the default).
-    #[default]
-    WorkStealing,
-}
-
-/// Accumulated scheduler telemetry across a runner's sweeps (shared by
-/// clones, like the failure counter). Pure measurement: nothing here
-/// feeds back into any result.
-#[derive(Debug, Clone, Default)]
-pub struct RunnerTelemetry {
-    /// Sweeps that dispatched at least one fresh (non-cached) job.
-    pub sweeps: u64,
-    /// Fresh jobs executed.
-    pub jobs: u64,
-    /// Pool tasks beyond one-per-job — intra-cell shard subtasks.
-    pub shard_tasks: u64,
-    /// Steal operations across all sweeps.
-    pub steals: u64,
-    /// Tasks that ran on a worker other than their LPT assignment.
-    pub stolen_tasks: u64,
-    /// Summed pool makespans, ms.
-    pub makespan_ms: f64,
-    /// Summed task execution time, ms.
-    pub busy_ms: f64,
-    /// Worker threads of the most recent dispatch.
-    pub threads: usize,
-    /// Per-job stats of the most recent dispatch, in job order.
-    pub per_job: Vec<JobStats>,
-}
-
-impl RunnerTelemetry {
-    /// `busy / (threads × makespan)` over everything accumulated:
-    /// 1.0 = every worker busy end to end; lower = idle tails.
-    pub fn parallel_efficiency(&self) -> f64 {
-        if self.threads == 0 || self.makespan_ms <= 0.0 {
-            return 0.0;
-        }
-        (self.busy_ms / (self.threads as f64 * self.makespan_ms)).min(1.0)
-    }
-
-    fn absorb(&mut self, pool: &PoolTelemetry) {
-        self.sweeps += 1;
-        self.jobs += pool.jobs as u64;
-        self.shard_tasks += (pool.tasks - pool.jobs) as u64;
-        self.steals += pool.steals;
-        self.stolen_tasks += pool.stolen_tasks;
-        self.makespan_ms += pool.makespan_ms;
-        self.busy_ms += pool.busy_ms;
-        self.threads = pool.threads;
-        self.per_job = pool.per_job.clone();
-    }
-}
-
-/// Default decomposition threshold, in predicted events: roughly ten
-/// paper-scale cells. Below it a cell is cheaper to run whole than to
-/// pay the per-domain rebuild overhead; the shipped grids' multi-domain
-/// cells all sit below it, so decomposition is opt-in via
-/// [`ExperimentRunner::with_decompose_min_cost`] until a genuinely
-/// heavy multi-domain grid shows up.
-pub const DECOMPOSE_MIN_COST: f64 = 3e6;
-
 /// Executes sweeps of [`ScenarioSpec`]s across OS threads, optionally
 /// consulting a persistent [`crate::sweeps::ResultCache`] before
 /// dispatching any run and appending every fresh outcome to it.
@@ -207,17 +136,14 @@ pub const DECOMPOSE_MIN_COST: f64 = 3e6;
 pub struct ExperimentRunner {
     /// Worker threads; 0 = one per available CPU.
     pub threads: usize,
-    /// Dispatch discipline (default: cost-aware work stealing).
-    scheduler: Scheduler,
-    /// Predicted-cost floor for intra-cell domain decomposition.
-    decompose_min_cost: f64,
     /// Persistent result store; `None` = always simulate.
     cache: Option<SharedCache>,
+    /// Injected panics: `(cell, replication)` → the event index at
+    /// which that run panics. Empty outside fault-isolation proofs.
+    faults: HashMap<(usize, u64), u64>,
     /// Failed replications seen by this runner (shared across clones,
     /// so a whole session of sweeps can gate its exit code on it).
     failures: Arc<AtomicU64>,
-    /// Scheduler telemetry (shared across clones, like `failures`).
-    telemetry: Arc<Mutex<RunnerTelemetry>>,
 }
 
 impl ExperimentRunner {
@@ -225,11 +151,9 @@ impl ExperimentRunner {
     pub fn new(threads: usize) -> Self {
         ExperimentRunner {
             threads,
-            scheduler: Scheduler::default(),
-            decompose_min_cost: DECOMPOSE_MIN_COST,
             cache: None,
+            faults: HashMap::new(),
             failures: Arc::new(AtomicU64::new(0)),
-            telemetry: Arc::new(Mutex::new(RunnerTelemetry::default())),
         }
     }
 
@@ -246,17 +170,14 @@ impl ExperimentRunner {
         self
     }
 
-    /// Selects the dispatch discipline.
-    pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Overrides the decomposition threshold (predicted events; 0.0
-    /// decomposes every eligible multi-domain cell — tests use this to
-    /// force the shard path on small specs).
-    pub fn with_decompose_min_cost(mut self, min_cost: f64) -> Self {
-        self.decompose_min_cost = min_cost;
+    /// Attaches a fault plan: each `((cell, rep), k)` entry makes
+    /// replication `rep` (1-based) of cell `cell` (the spec's index in
+    /// the sweep) panic right after dispatching event `k`, in every
+    /// sweep this runner executes. The fault is scoped to that one run
+    /// (see [`ScenarioSpec::try_run_faulted`]); a job answered from the
+    /// cache is not simulated, so its fault cannot fire.
+    pub fn with_faults(mut self, faults: impl IntoIterator<Item = ((usize, u64), u64)>) -> Self {
+        self.faults = faults.into_iter().collect();
         self
     }
 
@@ -273,15 +194,12 @@ impl ExperimentRunner {
         self.failures.load(Ordering::Relaxed)
     }
 
-    /// A snapshot of the accumulated scheduler telemetry.
-    pub fn telemetry(&self) -> RunnerTelemetry {
-        self.telemetry.lock().unwrap_or_else(PoisonError::into_inner).clone()
-    }
-
     fn thread_count(&self, jobs: usize) -> usize {
-        let auto = hydra_sim::parallel::total();
-        let want = if self.threads == 0 { auto } else { self.threads };
-        want.max(1).min(jobs.max(1))
+        let want = match self.threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            t => t,
+        };
+        want.min(jobs).max(1)
     }
 
     /// The world seed used for replication `rep` (1-based) of `spec`.
@@ -290,12 +208,13 @@ impl ExperimentRunner {
     }
 
     /// Predicted work for one run of `spec`, in (approximate) events —
-    /// the scheduler's cost model. A deliberately crude feature model:
-    /// per-flow packet counts over the active span, an events-per-frame
-    /// constant, and a per-node build charge. It only has to *rank*
-    /// jobs (a 1000-node mesh must predict far above a 6-node chain);
-    /// recorded event counts from the cache override it for specs seen
-    /// before. Pure function of the spec: no machine state, no RNG.
+    /// the dispatch order's cost model. A deliberately crude feature
+    /// model: per-flow packet counts over the active span, an
+    /// events-per-frame constant, and a per-node build charge. It only
+    /// has to *rank* jobs (a 1000-node mesh must predict far above a
+    /// 6-node chain); recorded event counts from the cache override it
+    /// for specs seen before. Pure function of the spec: no machine
+    /// state, no RNG.
     pub fn predicted_cost(spec: &ScenarioSpec) -> f64 {
         let n = spec.topology.node_count() as f64;
         let span = (spec.warmup + spec.duration).as_secs_f64();
@@ -327,22 +246,9 @@ impl ExperimentRunner {
         frames * events_per_frame + n * 50.0
     }
 
-    /// Whether this runner decomposes `spec` into per-domain subtasks.
-    /// A pure function of the spec and the runner's *configuration* —
-    /// never of the thread count — so event totals are identical at
-    /// every `threads` setting. Gated off under armed failpoints
-    /// (chaos schedules are phrased against whole-run event counts)
-    /// and for budgeted runs (a budget is a whole-run event cap).
-    fn wants_decompose(&self, spec: &ScenarioSpec) -> bool {
-        self.scheduler == Scheduler::WorkStealing
-            && spec.budget.is_none()
-            && !hydra_sim::failpoint::armed()
-            && Self::predicted_cost(spec) >= self.decompose_min_cost
-    }
-
     /// Expands `specs × (1..=seeds)` into a work list, satisfies what it
     /// can from the attached cache's snapshot index, executes the rest
-    /// on the scheduler, and returns one [`CellResult`] per spec, in
+    /// on the worker threads, and returns one [`CellResult`] per spec, in
     /// order. Fresh outcomes are appended to the cache as one batch, in
     /// job order, so the store stays deterministic for a given cold
     /// sweep.
@@ -374,23 +280,26 @@ impl ExperimentRunner {
             }
         }
         let todo: Vec<usize> = (0..jobs.len()).filter(|&i| results[i].is_none()).collect();
-        let mut work = Vec::with_capacity(todo.len());
-        let mut lpt_costs = Vec::with_capacity(todo.len());
-        for &i in &todo {
-            let (cell, rep, hash) = jobs[i];
-            let spec = &specs[cell];
-            // LPT ordering cost: the recorded event count when the
-            // cache has seen this spec, the feature model otherwise.
-            // Ordering never affects results, so the hint is safe; the
-            // *decomposition* decision deliberately ignores it.
-            let cost = index
-                .as_ref()
-                .and_then(|ix| ix.events_hint(hash))
-                .map_or_else(|| Self::predicted_cost(spec), |n| n as f64);
-            lpt_costs.push(cost);
-            work.push(spec.clone().with_seed(stream_seed(spec.stable_hash(), rep)));
-        }
-        let fresh = self.execute(&work, &lpt_costs);
+        let work: Vec<Job> = todo
+            .iter()
+            .map(|&i| {
+                let (cell, rep, hash) = jobs[i];
+                let spec = &specs[cell];
+                // LPT ordering cost: the recorded event count when the
+                // cache has seen this spec, the feature model otherwise.
+                // Ordering never affects results, so the hint is safe.
+                let cost = index
+                    .as_ref()
+                    .and_then(|ix| ix.events_hint(hash))
+                    .map_or_else(|| Self::predicted_cost(spec), |n| n as f64);
+                Job {
+                    spec: spec.clone().with_seed(stream_seed(hash, rep)),
+                    panic_at: self.faults.get(&(cell, rep)).copied(),
+                    cost,
+                }
+            })
+            .collect();
+        let fresh = self.execute(&work);
         self.failures.fetch_add(fresh.iter().filter(|r| r.is_err()).count() as u64, Ordering::Relaxed);
         if let Some(cache) = &self.cache {
             // Only successful runs are cached: a failed replication
@@ -447,184 +356,53 @@ impl ExperimentRunner {
         self.try_run_one(spec).unwrap_or_else(|e| panic!("run failed: {e}"))
     }
 
-    /// One fault-isolated job: panics are contained by
-    /// [`ScenarioSpec::try_run`], and transient IO failures retry with
-    /// a short bounded backoff (1 ms, 2 ms — deterministic in attempt
-    /// count, so a chaos schedule that injects one transient fault
-    /// still converges to the fault-free outcome).
-    fn run_isolated(spec: &ScenarioSpec) -> Result<RunOutcome, RunError> {
-        let mut attempt: u32 = 0;
-        loop {
-            match spec.try_run() {
-                Err(RunError::Io(_)) if attempt < 2 => {
-                    attempt += 1;
-                    std::thread::sleep(std::time::Duration::from_millis(1 << attempt));
-                }
-                other => return other,
-            }
-        }
-    }
-
-    /// One fault-isolated *domain* subtask of a decomposed cell: a
-    /// panic anywhere in the domain run is caught here, inside the pool
-    /// task, so a stolen panicking job unwinds no worker and fails only
-    /// its own cell.
-    fn run_domain_isolated(plan: &ShardPlan<'_>, domain: u32) -> Result<RunOutcome, RunError> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| plan.run_domain(domain))).map_err(
-            |payload| {
-                RunError::Panicked(match payload.downcast::<String>() {
-                    Ok(s) => *s,
-                    Err(payload) => match payload.downcast::<&'static str>() {
-                        Ok(s) => (*s).to_string(),
-                        Err(_) => "non-string panic payload".to_string(),
-                    },
-                })
-            },
-        )
-    }
-
-    /// Executes the prepared work list; results come back in job order.
-    /// A job that fails — panic, budget, IO — yields its `Err` entry
-    /// without disturbing any other job: worker threads never unwind
-    /// (panics are caught inside every task), and even a poisoned
-    /// result slot is recovered rather than propagated.
-    fn execute(&self, work: &[ScenarioSpec], lpt_costs: &[f64]) -> Vec<Result<RunOutcome, RunError>> {
-        if self.scheduler == Scheduler::FlatCursor {
-            return self.execute_flat(work);
-        }
-        // Decomposition plans are built (and the decision made)
-        // identically at every thread count; `exact()` excludes the
-        // pure-file-transfer mode whose merged bookkeeping differs
-        // from a whole run.
-        let plans: Vec<Option<ShardPlan<'_>>> = work
-            .iter()
-            .map(|spec| {
-                if !self.wants_decompose(spec) {
-                    return None;
-                }
-                spec.shard_plan().filter(|p| p.exact() && p.domains() > 1)
-            })
-            .collect();
-        let jobs: Vec<sched::Job<'_, Result<RunOutcome, RunError>>> = work
-            .iter()
-            .zip(&plans)
-            .zip(lpt_costs)
-            .map(|((spec, plan), &cost)| match plan {
-                None => sched::Job::one(cost, move || Self::run_isolated(spec)),
-                Some(plan) => {
-                    let parts = (0..plan.domains() as u32)
-                        .map(|c| {
-                            let thunk: sched::Thunk<'_, Result<RunOutcome, RunError>> =
-                                Box::new(move || Self::run_domain_isolated(plan, c));
-                            (cost * plan.cost_share(c), thunk)
-                        })
-                        .collect();
-                    sched::Job {
-                        cost,
-                        work: sched::Work::Parts {
-                            parts,
-                            merge: Box::new(move |outcomes| {
-                                let mut by_comp = Vec::with_capacity(outcomes.len());
-                                for o in outcomes {
-                                    by_comp.push(o?);
-                                }
-                                Ok(plan.merge(by_comp))
-                            }),
-                        },
-                    }
-                }
-            })
-            .collect();
-        let tasks = jobs
-            .iter()
-            .map(|j| match &j.work {
-                sched::Work::One(_) => 1,
-                sched::Work::Parts { parts, .. } => parts.len(),
-            })
-            .sum();
-        let threads = self.thread_count(tasks);
-        let (results, pool) = sched::execute(jobs, threads);
-        self.telemetry.lock().unwrap_or_else(PoisonError::into_inner).absorb(&pool);
-        results
-    }
-
-    /// The baseline dispatch: submission order off a shared cursor.
-    fn execute_flat(&self, work: &[ScenarioSpec]) -> Vec<Result<RunOutcome, RunError>> {
+    /// Executes the prepared jobs; results come back in job order. A
+    /// job that fails — panic or budget — yields its `Err` entry
+    /// without disturbing any other job: every run's panics are caught
+    /// inside [`ScenarioSpec::try_run_faulted`], so worker threads never
+    /// unwind.
+    fn execute(&self, work: &[Job]) -> Vec<Result<RunOutcome, RunError>> {
+        let run = |job: &Job| job.spec.try_run_faulted(job.panic_at);
         let n = work.len();
         let threads = self.thread_count(n);
-        let t0 = std::time::Instant::now();
-        let mut per_job = vec![JobStats { parts: 1, ..JobStats::default() }; n];
-        let results: Vec<Result<RunOutcome, RunError>> = if threads <= 1 {
-            work.iter()
-                .enumerate()
-                .map(|(i, spec)| {
-                    let started = t0.elapsed().as_secs_f64() * 1e3;
-                    let r = Self::run_isolated(spec);
-                    per_job[i].queue_wait_ms = started;
-                    per_job[i].wall_ms = t0.elapsed().as_secs_f64() * 1e3 - started;
-                    r
-                })
-                .collect()
-        } else {
-            type Slot = Mutex<Option<(Result<RunOutcome, RunError>, JobStats)>>;
-            let next = AtomicUsize::new(0);
-            let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-            let _occupancy = hydra_sim::parallel::occupy(threads);
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let started = t0.elapsed().as_secs_f64() * 1e3;
-                        let result = Self::run_isolated(&work[i]);
-                        let stats = JobStats {
-                            queue_wait_ms: started,
-                            wall_ms: t0.elapsed().as_secs_f64() * 1e3 - started,
-                            parts: 1,
-                            stolen_parts: 0,
-                        };
-                        // A slot mutex can only be poisoned if a *storing*
-                        // thread panicked mid-assignment; the data is a
-                        // plain Option either way, so recover it.
-                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some((result, stats));
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .enumerate()
-                .map(|(i, slot)| match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-                    Some((result, stats)) => {
-                        per_job[i] = stats;
-                        result
+        if threads <= 1 {
+            return work.iter().map(run).collect();
+        }
+        // Longest predicted first; the stable sort breaks ties by job
+        // index.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| work[b].cost.total_cmp(&work[a].cost));
+        let next = AtomicUsize::new(0);
+        let slots: Vec<OnceLock<Result<RunOutcome, RunError>>> = (0..n).map(|_| OnceLock::new()).collect();
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let _ = slots[i].set(run(&work[i]));
                     }
-                    None => Err(RunError::Panicked("worker died before storing a result".into())),
-                })
-                .collect()
-        };
-        let pool = PoolTelemetry {
-            threads,
-            jobs: n,
-            tasks: n,
-            steals: 0,
-            stolen_tasks: 0,
-            makespan_ms: t0.elapsed().as_secs_f64() * 1e3,
-            busy_ms: per_job.iter().map(|j| j.wall_ms).sum(),
-            per_job,
-        };
-        self.telemetry.lock().unwrap_or_else(PoisonError::into_inner).absorb(&pool);
-        results
+                });
+            }
+        });
+        slots.into_iter().map(|slot| slot.into_inner().expect("every job ran")).collect()
     }
+}
+
+/// One fresh job: the spec with its derived world seed, the injected
+/// panic (if the fault plan names it), and its predicted cost.
+struct Job {
+    spec: ScenarioSpec,
+    panic_at: Option<u64>,
+    cost: f64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hydra_netsim::{Policy, TopologyKind};
+    use hydra_netsim::Policy;
     use hydra_phy::Rate;
     use hydra_sim::Duration;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
 
     fn tiny_udp_spec() -> ScenarioSpec {
         let mut spec =
@@ -675,38 +453,26 @@ mod tests {
     }
 
     #[test]
-    fn both_schedulers_produce_identical_sweeps_at_any_thread_count() {
+    fn parallel_sweeps_equal_sequential_at_any_thread_count() {
         let specs = vec![tiny_udp_spec(), tiny_udp_spec().with_seed(2), tiny_udp_spec().with_seed(3)];
-        let reference =
-            ExperimentRunner::sequential().with_scheduler(Scheduler::FlatCursor).run_sweep(&specs, 2);
-        for scheduler in [Scheduler::FlatCursor, Scheduler::WorkStealing] {
-            for threads in [1, 2, 4, 8] {
-                let cells = ExperimentRunner::new(threads).with_scheduler(scheduler).run_sweep(&specs, 2);
-                for (cell, expect) in cells.iter().zip(&reference) {
-                    assert_eq!(cell.runs, expect.runs, "{scheduler:?} × {threads} threads diverged");
-                }
+        let reference = ExperimentRunner::sequential().run_sweep(&specs, 2);
+        for threads in [1, 2, 4, 8] {
+            let cells = ExperimentRunner::new(threads).run_sweep(&specs, 2);
+            for (cell, expect) in cells.iter().zip(&reference) {
+                assert_eq!(cell.runs, expect.runs, "{threads} threads diverged");
             }
         }
     }
 
     #[test]
     fn a_panicking_job_is_isolated_and_the_cell_stays_total() {
-        let _guard = hydra_sim::failpoint::exclusive();
-        hydra_sim::failpoint::disarm_all();
         let specs = vec![tiny_udp_spec(), tiny_udp_spec().with_seed(2)];
         let clean = ExperimentRunner::sequential().run_sweep(&specs, 1);
 
-        // Sequential runners execute jobs in order, so a one-shot panic
-        // 100 events in lands inside the first job only.
-        hydra_sim::failpoint::arm("run.mid_event", hydra_sim::failpoint::FailAction::Panic, 100, 1);
-        let runner = ExperimentRunner::sequential();
+        let runner = ExperimentRunner::sequential().with_faults([((0, 1), 100)]);
         let cells = runner.run_sweep(&specs, 1);
-        hydra_sim::failpoint::disarm_all();
 
-        assert_eq!(
-            cells[0].runs[0],
-            Err(hydra_netsim::RunError::Panicked("failpoint run.mid_event fired".into()))
-        );
+        assert_eq!(cells[0].runs[0], Err(RunError::Panicked("injected panic at event 100".into())));
         assert!(cells[0].failed());
         assert_eq!(cells[0].failed_label(), "FAILED(panic)");
         assert!(cells[0].first().is_none(), "no usable run in the failed cell");
@@ -717,50 +483,47 @@ mod tests {
     }
 
     #[test]
-    fn every_job_can_fail_without_poisoning_the_parallel_pool() {
-        let _guard = hydra_sim::failpoint::exclusive();
-        hydra_sim::failpoint::disarm_all();
-        hydra_sim::failpoint::arm("run.mid_event", hydra_sim::failpoint::FailAction::Panic, 0, u64::MAX);
+    fn every_job_can_fail_without_poisoning_the_parallel_workers() {
         let specs = vec![tiny_udp_spec(), tiny_udp_spec().with_seed(2)];
-        let runner = ExperimentRunner::new(2);
+        let plan = (0..2).flat_map(|cell| (1..=2).map(move |rep| ((cell, rep), 0)));
+        let runner = ExperimentRunner::new(2).with_faults(plan);
         let cells = runner.run_sweep(&specs, 2);
-        hydra_sim::failpoint::disarm_all();
         assert_eq!(cells.len(), 2);
         assert!(cells.iter().all(|c| c.runs.len() == 2 && c.runs.iter().all(Result::is_err)));
         assert_eq!(runner.failure_count(), 4);
     }
 
     #[test]
-    fn transient_io_faults_retry_and_hard_ones_fail_the_cell() {
-        let _guard = hydra_sim::failpoint::exclusive();
-        hydra_sim::failpoint::disarm_all();
-        let spec = tiny_udp_spec();
-        let clean = ExperimentRunner::sequential().try_run_one(spec.clone()).expect("clean run");
-
-        // One transient fault: the bounded retry recovers and the
-        // outcome matches the fault-free run exactly.
-        hydra_sim::failpoint::arm("run.io", hydra_sim::failpoint::FailAction::Io, 0, 1);
-        let retried = ExperimentRunner::sequential().try_run_one(spec.clone());
-        assert_eq!(retried, Ok(clean));
-
-        // A persistent fault exhausts the retries and fails the cell.
-        hydra_sim::failpoint::arm("run.io", hydra_sim::failpoint::FailAction::Io, 0, u64::MAX);
-        let failed = ExperimentRunner::sequential().try_run_one(spec.clone());
-        assert!(matches!(failed, Err(hydra_netsim::RunError::Io(_))), "{failed:?}");
-        hydra_sim::failpoint::disarm_all();
-    }
-
-    #[test]
-    fn telemetry_accumulates_across_sweeps() {
-        let runner = ExperimentRunner::sequential();
-        runner.run_sweep(&[tiny_udp_spec()], 2);
-        runner.run_sweep(&[tiny_udp_spec().with_seed(2)], 1);
-        let t = runner.telemetry();
-        assert_eq!(t.sweeps, 2);
-        assert_eq!(t.jobs, 3);
-        assert_eq!(t.shard_tasks, 0, "tiny chains never decompose");
-        assert!(t.makespan_ms > 0.0);
-        assert!(t.parallel_efficiency() > 0.0);
-        assert_eq!(t.per_job.len(), 1, "per-job stats track the last sweep");
+    fn a_fault_plan_never_leaks_into_a_concurrent_sweep() {
+        // One thread keeps running a sweep whose every job panics while
+        // another runs the same specs clean: the clean sweep must equal
+        // its sequential reference, run for run. The barrier holds the
+        // clean sweep back until the faulted one has run once, and the
+        // faulted loop runs until the clean sweep is done, so the two
+        // overlap. (A process-global fault registry fails this: the
+        // clean runs catch the panics.)
+        let specs = vec![tiny_udp_spec(), tiny_udp_spec().with_seed(2), tiny_udp_spec().with_seed(3)];
+        let reference = ExperimentRunner::sequential().run_sweep(&specs, 2);
+        let plan = (0..specs.len()).flat_map(|cell| (1..=2).map(move |rep| ((cell, rep), 500)));
+        let chaos = ExperimentRunner::sequential().with_faults(plan);
+        let all_failed = |cells: &[CellResult]| cells.iter().all(|c| c.runs.iter().all(Result::is_err));
+        let started = Barrier::new(2);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let first = chaos.run_sweep(&specs, 2);
+                started.wait();
+                assert!(all_failed(&first), "every faulted job fails");
+                while !done.load(Ordering::Acquire) {
+                    assert!(all_failed(&chaos.run_sweep(&specs, 2)), "every faulted job fails");
+                }
+            });
+            started.wait();
+            let clean = ExperimentRunner::new(2).run_sweep(&specs, 2);
+            done.store(true, Ordering::Release);
+            for (cell, expect) in clean.iter().zip(&reference) {
+                assert_eq!(cell.runs, expect.runs, "a concurrent fault plan leaked into a clean sweep");
+            }
+        });
     }
 }

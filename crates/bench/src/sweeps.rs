@@ -202,61 +202,10 @@ impl ResultCache {
         self.entries.is_empty()
     }
 
-    /// Session hit/miss/skip counters.
+    /// Load-time counters (skipped and quarantined records); hits and
+    /// misses are counted by the [`ConcurrentCache`] a sweep uses.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Looks up replication `rep` of the spec hashed to `hash`,
-    /// counting the hit or miss.
-    pub fn lookup(&mut self, hash: u64, rep: u64) -> Option<RunOutcome> {
-        match self.entries.get(&(hash, rep)) {
-            Some(outcome) => {
-                self.stats.hits += 1;
-                Some(outcome.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// The recorded event count for the spec hashed to `hash`, if any —
-    /// a *scheduling hint* (the runner orders predicted-longest jobs
-    /// first); never part of an outcome.
-    pub fn events_hint(&self, hash: u64) -> Option<u64> {
-        self.events.get(&hash).copied()
-    }
-
-    /// Records a finished run: appends one JSON line (carrying the
-    /// spec's canonical `.scn` text for human inspection) and indexes
-    /// the outcome in memory.
-    pub fn record(
-        &mut self,
-        hash: u64,
-        rep: u64,
-        spec: &ScenarioSpec,
-        outcome: &RunOutcome,
-    ) -> std::io::Result<()> {
-        hydra_sim::failpoint::check_io("cache.append")?;
-        let events = (outcome.perf.events_processed > 0).then_some(outcome.perf.events_processed);
-        let mut line = seal(&encode_record(hash, rep, &spec.to_scn(), outcome, events));
-        line.push('\n');
-        // One write of the whole record: under O_APPEND concurrent
-        // writers (e.g. `--bin all` and `--bin sweep` sharing the
-        // default cache) interleave at write granularity, so a record
-        // must never be split across calls. If the write is torn
-        // anyway (crash, full disk) the CRC trailer won't verify and
-        // the next open quarantines the fragment.
-        let mut file = std::fs::OpenOptions::new().create(true).append(true).open(&self.path)?;
-        file.write_all(line.as_bytes())?;
-        if let Some(n) = events {
-            let hint = self.events.entry(hash).or_insert(0);
-            *hint = (*hint).max(n);
-        }
-        self.entries.insert((hash, rep), outcome.clone());
-        Ok(())
     }
 }
 
@@ -340,8 +289,8 @@ impl ConcurrentCache {
             path: store.path,
             writer: Mutex::new(()),
             index: RwLock::new(Arc::new(index)),
-            hits: AtomicU64::new(store.stats.hits),
-            misses: AtomicU64::new(store.stats.misses),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
             skipped: store.stats.skipped,
             quarantined: store.stats.quarantined,
         }
@@ -382,15 +331,19 @@ impl ConcurrentCache {
 
     /// Group commit: encodes every record, then appends the whole batch
     /// with one `O_APPEND` write and republishes the snapshot once.
-    /// All-or-nothing in this process (the failpoint / open / write
-    /// error path indexes nothing); a torn tail on disk is caught by
-    /// the per-line CRC at the next open.
+    /// All-or-nothing in this process (the open / write error path
+    /// indexes nothing); a torn tail on disk is caught by the per-line
+    /// CRC at the next open.
+    ///
+    /// The batch goes out as **one** write: under `O_APPEND`, concurrent
+    /// writers (e.g. `--bin all` and `--bin sweep` sharing the default
+    /// cache) interleave at write granularity, so a record is never
+    /// split across calls.
     pub fn append_batch(&self, records: &[(u64, u64, &ScenarioSpec, &RunOutcome)]) -> std::io::Result<()> {
         if records.is_empty() {
             return Ok(());
         }
         let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        hydra_sim::failpoint::check_io("cache.append")?;
         let mut batch = String::with_capacity(records.len() * 512);
         for (hash, rep, spec, outcome) in records {
             let events = (outcome.perf.events_processed > 0).then_some(outcome.perf.events_processed);
@@ -446,7 +399,7 @@ fn encode_record(hash: u64, rep: u64, scn: &str, outcome: &RunOutcome, events: O
     s.push_str(&format!("\"rep\":{rep},"));
     s.push_str(&format!("\"scn\":{},", quote(scn)));
     if let Some(n) = events {
-        // Scheduling hint only (see `ResultCache::events_hint`). An
+        // Scheduling hint only (see `CacheIndex::events_hint`). An
         // *optional* key: the decoder looks fields up by name, so old
         // records without it — and old readers seeing it — both work,
         // which is why this is not a CACHE_SCHEMA bump.
@@ -961,23 +914,23 @@ mod tests {
     }
 
     #[test]
-    fn cache_persists_across_opens_and_counts_hits() {
+    fn cache_persists_across_opens() {
         let dir = tmp_dir("persist");
         let spec = tiny_spec();
         let outcome = spec.run();
         {
-            let mut c = ResultCache::open(&dir).unwrap();
+            let c = ConcurrentCache::open(&dir).unwrap();
             assert!(c.is_empty());
-            assert!(c.lookup(spec.stable_hash(), 1).is_none());
-            c.record(spec.stable_hash(), 1, &spec, &outcome).unwrap();
-            assert_eq!(c.stats(), CacheStats { hits: 0, misses: 1, skipped: 0, quarantined: 0 });
+            assert!(c.index().get(spec.stable_hash(), 1).is_none());
+            c.append_batch(&[(spec.stable_hash(), 1, &spec, &outcome)]).unwrap();
         }
-        let mut c = ResultCache::open(&dir).unwrap();
+        let c = ConcurrentCache::open(&dir).unwrap();
         assert_eq!(c.len(), 1);
-        let cached = c.lookup(spec.stable_hash(), 1).expect("reload from disk");
-        assert_eq!(cached, outcome);
-        assert!(c.lookup(spec.stable_hash(), 2).is_none(), "other reps stay cold");
-        assert_eq!(c.stats(), CacheStats { hits: 1, misses: 1, skipped: 0, quarantined: 0 });
+        let index = c.index();
+        let cached = index.get(spec.stable_hash(), 1).expect("reload from disk");
+        assert_eq!(**cached, outcome);
+        assert!(index.get(spec.stable_hash(), 2).is_none(), "other reps stay cold");
+        assert_eq!(c.stats(), CacheStats::default(), "nothing skipped or quarantined");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1012,10 +965,11 @@ mod tests {
         let dir = tmp_dir("torn");
         let spec = tiny_spec();
         let outcome = spec.run();
+        let record = |rep| [(spec.stable_hash(), rep, &spec, &outcome)];
         {
-            let mut c = ResultCache::open(&dir).unwrap();
-            c.record(spec.stable_hash(), 1, &spec, &outcome).unwrap();
-            c.record(spec.stable_hash(), 2, &spec, &outcome).unwrap();
+            let c = ConcurrentCache::open(&dir).unwrap();
+            c.append_batch(&record(1)).unwrap();
+            c.append_batch(&record(2)).unwrap();
         }
         // Tear the file mid-record, as a crash during the second
         // append would: keep the first line and half of the second.
@@ -1025,16 +979,16 @@ mod tests {
         let torn = &text[..first_len + (text.len() - first_len) / 2];
         std::fs::write(&path, torn).unwrap();
 
-        let mut c = ResultCache::open(&dir).unwrap();
+        let c = ConcurrentCache::open(&dir).unwrap();
         assert_eq!(c.stats().quarantined, 1);
-        assert!(c.lookup(spec.stable_hash(), 1).is_some(), "intact record survives");
-        assert!(c.lookup(spec.stable_hash(), 2).is_none(), "torn record degrades to cold");
+        assert!(c.index().get(spec.stable_hash(), 1).is_some(), "intact record survives");
+        assert!(c.index().get(spec.stable_hash(), 2).is_none(), "torn record degrades to cold");
         // The torn fragment is preserved for forensics, out of band.
         assert!(dir.join("runs.corrupt.jsonl").exists());
         // Re-recording the cold key heals the cache for the next open.
-        c.record(spec.stable_hash(), 2, &spec, &outcome).unwrap();
+        c.append_batch(&record(2)).unwrap();
         drop(c);
-        let c = ResultCache::open(&dir).unwrap();
+        let c = ConcurrentCache::open(&dir).unwrap();
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats().quarantined, 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1045,41 +999,20 @@ mod tests {
         let dir = tmp_dir("bitflip");
         let spec = tiny_spec();
         let outcome = spec.run();
-        {
-            let mut c = ResultCache::open(&dir).unwrap();
-            c.record(spec.stable_hash(), 1, &spec, &outcome).unwrap();
-        }
+        ConcurrentCache::open(&dir)
+            .unwrap()
+            .append_batch(&[(spec.stable_hash(), 1, &spec, &outcome)])
+            .unwrap();
         let path = dir.join("runs.jsonl");
         let mut text = std::fs::read_to_string(&path).unwrap();
         // Flip one digit inside a numeric field (valid JSON, wrong data).
         let at = text.find("\"rep\":1").expect("rep field") + "\"rep\":".len();
         text.replace_range(at..at + 1, "7");
         std::fs::write(&path, &text).unwrap();
-        let mut c = ResultCache::open(&dir).unwrap();
+        let c = ConcurrentCache::open(&dir).unwrap();
         assert_eq!(c.stats().quarantined, 1, "CRC catches silent data damage");
-        assert!(c.lookup(spec.stable_hash(), 1).is_none());
-        assert!(c.lookup(spec.stable_hash(), 7).is_none(), "damaged record must not load");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cache_append_failpoint_surfaces_as_io_error() {
-        let _guard = hydra_sim::failpoint::exclusive();
-        hydra_sim::failpoint::disarm_all();
-        let dir = tmp_dir("failpoint");
-        let spec = tiny_spec();
-        let outcome = spec.run();
-        let mut c = ResultCache::open(&dir).unwrap();
-        hydra_sim::failpoint::arm("cache.append", hydra_sim::failpoint::FailAction::Io, 0, 1);
-        let err = c.record(spec.stable_hash(), 1, &spec, &outcome);
-        assert!(err.is_err(), "armed failpoint injects an IO error");
-        // The failed append wrote nothing; the retry lands cleanly.
-        c.record(spec.stable_hash(), 1, &spec, &outcome).unwrap();
-        hydra_sim::failpoint::disarm_all();
-        drop(c);
-        let c = ResultCache::open(&dir).unwrap();
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.stats().quarantined, 0);
+        assert!(c.index().get(spec.stable_hash(), 1).is_none());
+        assert!(c.index().get(spec.stable_hash(), 7).is_none(), "damaged record must not load");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1148,25 +1081,27 @@ mod tests {
     }
 
     #[test]
-    fn batch_append_failpoint_writes_and_indexes_nothing() {
-        let _guard = hydra_sim::failpoint::exclusive();
-        hydra_sim::failpoint::disarm_all();
-        let dir = tmp_dir("batch-fp");
+    fn a_failed_batch_append_writes_and_indexes_nothing() {
+        let dir = tmp_dir("batch-fail");
         let spec = tiny_spec();
         let outcome = spec.run();
-        let cache = ResultCache::open(&dir).unwrap().shared();
-        hydra_sim::failpoint::arm("cache.append", hydra_sim::failpoint::FailAction::Io, 0, 1);
+        let cache = ConcurrentCache::open(&dir).unwrap();
+        // A real IO error: a directory occupies the cache file's path,
+        // so the append cannot open it.
+        let path = dir.join("runs.jsonl");
+        std::fs::create_dir(&path).unwrap();
         let err = cache.append_batch(&[(spec.stable_hash(), 1, &spec, &outcome)]);
-        hydra_sim::failpoint::disarm_all();
-        assert!(err.is_err(), "armed failpoint injects an IO error");
+        assert!(err.is_err(), "an unopenable cache file is an IO error");
         assert!(cache.is_empty(), "a failed batch indexes nothing");
-        assert!(
-            !dir.join("runs.jsonl").exists()
-                || std::fs::read_to_string(dir.join("runs.jsonl")).unwrap().is_empty()
-        );
+        assert_eq!(std::fs::read_dir(&path).unwrap().count(), 0, "a failed batch writes nothing");
         // The retry lands the whole batch cleanly.
+        std::fs::remove_dir(&path).unwrap();
         cache.append_batch(&[(spec.stable_hash(), 1, &spec, &outcome)]).unwrap();
         assert_eq!(cache.len(), 1);
+        drop(cache);
+        let reopened = ConcurrentCache::open(&dir).unwrap();
+        assert_eq!(reopened.len(), 1);
+        assert_eq!(reopened.stats().quarantined, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

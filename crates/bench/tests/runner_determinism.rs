@@ -2,7 +2,7 @@
 //! produces byte-identical table output to sequential execution — run
 //! twice, so flaky scheduling would be caught.
 
-use hydra_bench::{ExperimentRunner, Scheduler, Table};
+use hydra_bench::{ExperimentRunner, Table};
 use hydra_netsim::{FlowSpec, FlowTraffic, Policy, ScenarioSpec, TopologyKind, Traffic};
 use hydra_phy::Rate;
 use hydra_sim::Duration;
@@ -135,20 +135,16 @@ fn sharded_equals_sequential_across_collision_domains() {
         spec.effective_flows().iter().map(|f| world.component_of(f.src)).collect();
     assert!(domains.len() > 1, "flows must span more than one domain");
 
-    let seq = spec.run_sharded(1);
-    for threads in [2, 4, 8] {
-        assert_eq!(spec.run_sharded(threads), seq, "domain workers diverged at {threads} threads");
-    }
-    // Mixed runs share a fixed horizon in every domain, so the sharded
-    // engine must reproduce the one-queue sequential engine exactly —
+    // Mixed runs share a fixed horizon in every domain, so the
+    // per-domain oracle must reproduce the one-queue engine exactly —
     // per-node reports, collisions, and virtual end time included.
-    assert_eq!(seq, spec.run(), "sharded(1) diverged from the sequential engine");
+    assert_eq!(spec.run_sharded(), spec.run(), "per-domain runs diverged from the whole-world engine");
 }
 
 #[test]
 fn sharded_is_the_sequential_engine_on_connected_worlds() {
     // Grid, cross, and chain worlds are single-domain: run_sharded must
-    // take the sequential path exactly, whatever the thread count.
+    // take the whole-world path exactly.
     let mut grid = ScenarioSpec::tcp(TopologyKind::Grid { w: 3, h: 2 }, Policy::Ba, Rate::R2_60);
     grid.traffic = Traffic::FileTransfer { bytes: 10 * 1024 };
     grid.warmup = Duration::from_millis(500);
@@ -164,101 +160,39 @@ fn sharded_is_the_sequential_engine_on_connected_worlds() {
     cross.duration = Duration::from_secs(4);
     for spec in [grid, cross, mixed_spec()] {
         assert_eq!(spec.build().component_count(), 1);
-        assert_eq!(spec.run_sharded(4), spec.run());
+        assert_eq!(spec.run_sharded(), spec.run());
     }
 }
 
 #[test]
-fn tables_are_byte_identical_for_both_schedulers_at_any_width() {
-    // The scheduler only decides *placement*; the rendered table — full
-    // float formatting — must not move by a bit under either discipline
-    // at any thread count.
-    let reference = render(&ExperimentRunner::sequential().with_scheduler(Scheduler::FlatCursor), 1);
-    for scheduler in [Scheduler::FlatCursor, Scheduler::WorkStealing] {
-        for threads in [1, 2, 4, 8] {
-            let runner = ExperimentRunner::new(threads).with_scheduler(scheduler);
-            assert_eq!(render(&runner, 1), reference, "{scheduler:?} × {threads} threads diverged");
-        }
+fn tables_are_byte_identical_at_any_width() {
+    // The dispatch order only decides *placement*; the rendered table —
+    // full float formatting — must not move by a bit at any thread
+    // count.
+    let reference = render(&ExperimentRunner::sequential(), 1);
+    for threads in [2, 4, 8] {
+        assert_eq!(render(&ExperimentRunner::new(threads), 1), reference, "{threads} threads diverged");
     }
 }
 
 #[test]
 fn chaos_failures_are_identical_at_every_thread_count() {
-    // Under an every-run panic schedule (times = MAX, so the failure
-    // set cannot depend on execution order), a stolen panicking job
-    // must be confined to its own cell and the whole failure pattern
-    // must match the sequential reference at every width.
-    let _guard = hydra_sim::failpoint::exclusive();
-    hydra_sim::failpoint::disarm_all();
+    // Under a fault plan that panics every job 50 events in, a
+    // panicking job must be confined to its own cell and the whole
+    // failure pattern must match the sequential reference at every
+    // width.
     let specs = fixed_sweep();
-    hydra_sim::failpoint::arm("run.mid_event", hydra_sim::failpoint::FailAction::Panic, 50, u64::MAX);
-    let reference = ExperimentRunner::sequential().run_sweep(&specs, 1);
-    let mut widths_checked = 0;
+    let plan: Vec<_> = (0..specs.len()).map(|cell| ((cell, 1), 50)).collect();
+    let reference = ExperimentRunner::sequential().with_faults(plan.clone()).run_sweep(&specs, 1);
+    assert!(
+        reference.iter().all(|c| c.runs.iter().all(Result::is_err)),
+        "every replication should have tripped its injected panic"
+    );
     for threads in [2, 4, 8] {
-        let cells = ExperimentRunner::new(threads).run_sweep(&specs, 1);
+        let cells = ExperimentRunner::new(threads).with_faults(plan.clone()).run_sweep(&specs, 1);
         for (cell, expect) in cells.iter().zip(&reference) {
             assert_eq!(cell.runs, expect.runs, "chaos pattern diverged at {threads} threads");
         }
-        widths_checked += 1;
-    }
-    hydra_sim::failpoint::disarm_all();
-    assert_eq!(widths_checked, 3);
-    assert!(
-        reference.iter().all(|c| c.runs.iter().all(Result::is_err)),
-        "every replication should have tripped the panic failpoint"
-    );
-}
-
-#[test]
-fn forced_decomposition_is_thread_invariant() {
-    // Force the multi-domain mesh cell through the shard-subtask path
-    // (threshold 0.0) and check the decomposition contract: outcomes
-    // equal the whole-run reference, and the *event totals* — which do
-    // differ from a whole run by a fixed per-domain constant — are
-    // identical at every thread count, because the decomposition
-    // decision is a pure function of the spec.
-    let spec = mesh_mixed_spec();
-    let whole = ExperimentRunner::sequential().run_sweep(std::slice::from_ref(&spec), 1);
-    let forced = ExperimentRunner::sequential().with_decompose_min_cost(0.0);
-    let reference = forced.run_sweep(std::slice::from_ref(&spec), 1);
-    let telemetry = forced.telemetry();
-    assert!(telemetry.shard_tasks > 0, "the mesh cell must actually decompose");
-    assert_eq!(reference[0].runs, whole[0].runs, "decomposed outcomes must match the whole run");
-    let events = reference[0].runs[0].as_ref().expect("decomposed run ok").perf.events_processed;
-    assert!(events > 0);
-    for threads in [2, 4, 8] {
-        let runner = ExperimentRunner::new(threads).with_decompose_min_cost(0.0);
-        let cells = runner.run_sweep(std::slice::from_ref(&spec), 1);
-        assert_eq!(cells[0].runs, reference[0].runs, "decomposed run diverged at {threads} threads");
-        assert_eq!(
-            cells[0].runs[0].as_ref().expect("run ok").perf.events_processed,
-            events,
-            "event totals must be thread-count-invariant at {threads} threads"
-        );
-        assert!(runner.telemetry().shard_tasks > 0, "decomposition is width-independent");
-    }
-}
-
-#[test]
-fn nested_sharding_respects_the_concurrency_budget() {
-    let _guard = hydra_sim::parallel::exclusive();
-    let spec = mesh_mixed_spec();
-    let reference = spec.run();
-    {
-        // Budget drained — the situation inside a busy worker pool:
-        // the gate run_sharded uses grants nothing, so the run must
-        // degrade to sequential on the calling thread and still match.
-        let _total = hydra_sim::parallel::override_total(1);
-        let _busy = hydra_sim::parallel::occupy(1);
-        assert_eq!(hydra_sim::parallel::acquire_up_to(1).count(), 0, "budget must be drained");
-        assert_eq!(spec.run_sharded(8), reference, "sequential degradation diverged");
-    }
-    {
-        // Ample headroom (well above any concurrently running test's
-        // occupancy): the multi-worker merge path runs even on a
-        // single-core machine, with the same outcome.
-        let _total = hydra_sim::parallel::override_total(hydra_sim::parallel::in_use() + 16);
-        assert_eq!(spec.run_sharded(4), reference, "multi-worker sharding diverged");
     }
 }
 

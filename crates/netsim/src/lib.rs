@@ -39,7 +39,7 @@ pub use scenario::{TcpRunResult, TcpScenario, UdpRunResult, UdpScenario};
 pub use scn::{parse_scn, parse_scn_file, render_scn, ScnError, SweepFile, SweepMeta};
 pub use spec::{
     Flooding, Flow, FlowSpec, FlowTraffic, LinkErrorSpec, Policy, RunBudget, RunError, RunOutcome, RunPerf,
-    ScenarioSpec, ShardPlan, TopologyKind, Traffic,
+    ScenarioSpec, TopologyKind, Traffic,
 };
 pub use topology::Topology;
 pub use world::{MediumKind, World};

@@ -390,9 +390,6 @@ pub enum RunError {
     },
     /// The run panicked; the payload message is preserved.
     Panicked(String),
-    /// An IO failure on the run path (transient by convention: the
-    /// experiment runner retries these with bounded backoff).
-    Io(String),
 }
 
 impl RunError {
@@ -402,7 +399,6 @@ impl RunError {
         match self {
             RunError::BudgetExhausted { .. } => "budget",
             RunError::Panicked(_) => "panic",
-            RunError::Io(_) => "io",
         }
     }
 }
@@ -414,7 +410,6 @@ impl std::fmt::Display for RunError {
                 write!(f, "run budget exhausted after {events} events")
             }
             RunError::Panicked(msg) => write!(f, "run panicked: {msg}"),
-            RunError::Io(msg) => write!(f, "io error: {msg}"),
         }
     }
 }
@@ -794,33 +789,45 @@ impl ScenarioSpec {
     ///   `throughput_bps` is the worst *file-transfer* flow (the
     ///   foreground), so background intensity sweeps stay comparable.
     pub fn run(&self) -> RunOutcome {
-        // Infallible by construction for unbudgeted specs with no armed
-        // failpoint — the only `RunError` sources are the budget gate
-        // and injected faults. Budgeted specs should go through
-        // [`ScenarioSpec::try_run`]; here a tripped budget panics (and
-        // the experiment runner's `catch_unwind` still contains it).
-        self.run_fallible().unwrap_or_else(|e| panic!("scenario run failed: {e}"))
+        // Infallible by construction for unbudgeted specs — the only
+        // `RunError` sources are the budget gate and panics. Budgeted
+        // specs should go through [`ScenarioSpec::try_run`]; here a
+        // tripped budget panics (and the experiment runner's
+        // `catch_unwind` still contains it).
+        self.run_fallible(None).unwrap_or_else(|e| panic!("scenario run failed: {e}"))
     }
 
     /// Runs the scenario, containing every failure as a [`RunError`]:
     /// a tripped [`RunBudget`] comes back as
-    /// [`RunError::BudgetExhausted`], a panic anywhere in build/run is
-    /// caught and preserved as [`RunError::Panicked`], and injected IO
-    /// faults surface as [`RunError::Io`]. This is the entry point the
-    /// experiment runner uses for every job.
+    /// [`RunError::BudgetExhausted`], and a panic anywhere in build/run
+    /// is caught and preserved as [`RunError::Panicked`].
     pub fn try_run(&self) -> Result<RunOutcome, RunError> {
-        hydra_sim::failpoint::check_io("run.io").map_err(|e| RunError::Io(e.to_string()))?;
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_fallible()))
+        self.try_run_faulted(None)
+    }
+
+    /// [`ScenarioSpec::try_run`] with an injected fault: with
+    /// `Some(k)` the run panics right after dispatching event `k`
+    /// (0-based), as a crashing simulation would; a run that finishes
+    /// in `k` events or fewer is unaffected. The fault belongs to this
+    /// one run — nothing outside the world sees it — so concurrent runs
+    /// stay clean. This is the entry point the experiment runner uses
+    /// for every job; `None` is exactly [`ScenarioSpec::try_run`].
+    pub fn try_run_faulted(&self, panic_at: Option<u64>) -> Result<RunOutcome, RunError> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_fallible(panic_at)))
             .unwrap_or_else(|payload| Err(RunError::Panicked(panic_message(payload))))
     }
 
-    /// Build + run with the budget armed; shared by [`ScenarioSpec::run`]
-    /// and [`ScenarioSpec::try_run`]. Panics are NOT caught here.
-    fn run_fallible(&self) -> Result<RunOutcome, RunError> {
+    /// Build + run with the budget (and any injected panic) armed;
+    /// shared by [`ScenarioSpec::run`] and
+    /// [`ScenarioSpec::try_run_faulted`]. Panics are NOT caught here.
+    fn run_fallible(&self, panic_at: Option<u64>) -> Result<RunOutcome, RunError> {
         let flows = self.effective_flows();
         let started = std::time::Instant::now();
         let allocs0 = hydra_sim::alloc_stats();
-        let world = self.build();
+        let mut world = self.build();
+        if let Some(k) = panic_at {
+            world.inject_panic_at(k);
+        }
         self.run_in(world, &flows, Self::run_mode(&flows), started, allocs0)
     }
 
@@ -886,9 +893,11 @@ impl ScenarioSpec {
         }
     }
 
-    /// Runs the scenario with one worker thread per collision domain
-    /// (connected component of the carrier-sense graph), merging the
-    /// per-domain results into the sequential outcome.
+    /// Runs the scenario one collision domain (connected component of
+    /// the carrier-sense graph) at a time, each in its own restricted
+    /// world, and merges the per-domain results — the sequential
+    /// per-domain oracle the determinism tests compare against
+    /// [`ScenarioSpec::run`].
     ///
     /// Domains are causally independent — no frame, carrier-sense edge,
     /// or channel draw crosses a component boundary (the per-domain
@@ -900,105 +909,84 @@ impl ScenarioSpec {
     ///   `completed` flag, and the headline throughput are **always**
     ///   identical to [`ScenarioSpec::run`];
     /// * per-node reports and collision counts match wherever every
-    ///   domain runs the same virtual span as the sequential engine —
+    ///   domain runs the same virtual span as the whole-world engine —
     ///   window-measured and mixed runs (both run to the fixed
-    ///   horizon), and single-domain worlds (which take the sequential
-    ///   path exactly: `threads` is ignored and `run()` is called).
-    ///   Pure file-transfer runs on a *multi*-domain medium stop each
-    ///   domain at its own completion instant, so post-completion
-    ///   bookkeeping (FIN exchanges after the last payload byte) can
-    ///   differ from the sequential engine's tail.
+    ///   horizon), and single-domain worlds (which simply call
+    ///   `run()`). Pure file-transfer runs on a *multi*-domain medium
+    ///   stop each domain at its own completion instant, so
+    ///   post-completion bookkeeping (FIN exchanges after the last
+    ///   payload byte) can differ from the whole-world engine's tail.
     ///
-    /// `threads = 0` asks for one worker per available CPU;
-    /// `threads = 1` runs the domains sequentially (the reference
-    /// schedule the determinism tests compare against). The calling
-    /// thread always participates; *extra* workers are opportunistic
-    /// and must win permits from the global concurrency budget
-    /// ([`hydra_sim::parallel`]), so a `run_sharded` nested inside a
-    /// busy runner pool degrades to sequential on its own thread
-    /// instead of oversubscribing the machine.
-    pub fn run_sharded(&self, threads: usize) -> RunOutcome {
-        let Some(plan) = self.shard_plan() else { return self.run() };
-        let k = plan.domains();
-        let want = match threads {
-            0 => hydra_sim::parallel::total(),
-            t => t,
-        }
-        .clamp(1, k);
-        let permits = hydra_sim::parallel::acquire_up_to(want - 1);
-        let workers = 1 + permits.count();
-        // One job per domain, claimed off a shared counter. Job order
-        // never matters: every domain world is built and run in
-        // isolation and the merge is by domain index.
-        let slots: Vec<std::sync::Mutex<Option<RunOutcome>>> =
-            (0..k).map(|_| std::sync::Mutex::new(None)).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let drain = || loop {
-            let c = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if c >= k {
-                break;
-            }
-            let out = plan.run_domain(c as u32);
-            *slots[c].lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(out);
-        };
-        if workers <= 1 {
-            drain();
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (1..workers).map(|_| s.spawn(drain)).collect();
-                drain();
-                for h in handles {
-                    h.join().expect("domain worker panicked");
-                }
-            });
-        }
-        drop(permits);
-        let by_comp: Vec<RunOutcome> = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .expect("every domain ran")
-            })
-            .collect();
-        plan.merge(by_comp)
-    }
-
-    /// The scenario's decomposition into collision domains, or `None`
-    /// when the world is a single domain (nothing to decompose). This
-    /// is the shard-task handoff external schedulers use: the bench
-    /// runner turns each domain into one pool task
-    /// ([`ShardPlan::run_domain`]) and reassembles the outcome with
-    /// [`ShardPlan::merge`]; [`ScenarioSpec::run_sharded`] is the
-    /// self-contained form of the same machinery.
-    pub fn shard_plan(&self) -> Option<ShardPlan<'_>> {
+    /// Event and queue tallies sum over the domains; the wall clock
+    /// spans the whole call.
+    pub fn run_sharded(&self) -> RunOutcome {
         let started = std::time::Instant::now();
         let allocs0 = hydra_sim::alloc_stats();
         let flows = self.effective_flows();
         // Discover the collision domains from the medium alone (cheap
         // next to a run; routes are not needed for geometry).
         let topo = self.topology.build();
-        let profile = PhyProfile::hydra();
-        let medium = self.medium.build_medium(&topo, &profile);
-        let comps = medium.components();
+        let comps = self.medium.build_medium(&topo, &PhyProfile::hydra()).components();
         if comps.len() <= 1 {
-            return None;
+            return self.run();
         }
         let mut comp_of = vec![0u32; topo.n];
-        let mut domain_nodes = vec![0usize; comps.len()];
         for (c, members) in comps.iter().enumerate() {
-            domain_nodes[c] = members.len();
             for &i in members {
                 comp_of[i] = c as u32;
             }
         }
-        let mut domain_flows = vec![0usize; comps.len()];
-        for f in &flows {
-            domain_flows[comp_of[f.src] as usize] += 1;
-        }
         let mode = Self::run_mode(&flows);
-        let n = topo.n;
-        Some(ShardPlan { spec: self, flows, mode, comp_of, domain_nodes, domain_flows, n, started, allocs0 })
+        let by_comp: Vec<RunOutcome> = (0..comps.len() as u32)
+            .map(|c| {
+                let sub: Vec<FlowSpec> = flows.iter().filter(|f| comp_of[f.src] == c).copied().collect();
+                let world = self.build_component(Some(c));
+                self.run_in(world, &sub, mode, std::time::Instant::now(), hydra_sim::alloc_stats())
+                    .unwrap_or_else(|e| panic!("domain run failed: {e}"))
+            })
+            .collect();
+
+        // Merge: each flow and node belongs to exactly one domain.
+        let mut sub_iters: Vec<std::vec::IntoIter<FlowOutcome>> =
+            by_comp.iter().map(|o| o.per_flow.clone().into_iter()).collect();
+        let per_flow: Vec<FlowOutcome> = flows
+            .iter()
+            .map(|f| sub_iters[comp_of[f.src] as usize].next().expect("one outcome per flow"))
+            .collect();
+        let (has_file, _) = mode;
+        let headline: Vec<FlowOutcome> = if has_file {
+            per_flow.iter().filter(|o| o.flow.traffic.is_file()).cloned().collect()
+        } else {
+            per_flow.clone()
+        };
+        let report = RunReport {
+            nodes: (0..topo.n).map(|i| by_comp[comp_of[i] as usize].report.nodes[i].clone()).collect(),
+            at: by_comp.iter().map(|o| o.report.at).max().expect("at least one domain"),
+            collisions: by_comp.iter().map(|o| o.report.collisions).sum(),
+        };
+        let allocs = hydra_sim::alloc_stats().since(allocs0);
+        RunOutcome {
+            completed: by_comp.iter().all(|o| o.completed),
+            throughput_bps: Self::worst_bps(&headline),
+            per_flow,
+            report,
+            perf: RunPerf {
+                events_processed: by_comp.iter().map(|o| o.perf.events_processed).sum(),
+                events_stale: by_comp.iter().map(|o| o.perf.events_stale).sum(),
+                timer_rearms: by_comp.iter().map(|o| o.perf.timer_rearms).sum(),
+                queue: by_comp.iter().fold(hydra_sim::QueueStats::default(), |acc, o| {
+                    hydra_sim::QueueStats {
+                        scheduled: acc.scheduled + o.perf.queue.scheduled,
+                        popped: acc.popped + o.perf.queue.popped,
+                        overflow_scheduled: acc.overflow_scheduled + o.perf.queue.overflow_scheduled,
+                        promoted: acc.promoted + o.perf.queue.promoted,
+                    }
+                }),
+                wall_ms: started.elapsed().as_secs_f64() * 1e3,
+                allocations: allocs.allocations,
+                allocated_bytes: allocs.allocated_bytes,
+            },
+        }
     }
 
     /// Telemetry for a finished world (allocation deltas vs the marks
@@ -1171,134 +1159,6 @@ impl ScenarioSpec {
 
 /// Renders a caught panic payload as a message (the common `String`
 /// and `&str` payloads verbatim; anything else gets a placeholder).
-/// A scenario's decomposition into collision domains — the shard-task
-/// handoff between [`ScenarioSpec::run_sharded`] and external
-/// schedulers (the bench runner executes one pool task per domain).
-///
-/// Domains are causally independent (see
-/// [`ScenarioSpec::run_sharded`]'s contract), so [`ShardPlan::run_domain`]
-/// calls may execute in any order, on any threads, and
-/// [`ShardPlan::merge`] reassembles the sequential outcome. A plan
-/// whose [`ShardPlan::exact`] is `false` (pure file-transfer traffic
-/// on a multi-domain medium) still merges per-flow results exactly but
-/// may differ from [`ScenarioSpec::run`] in post-completion node
-/// bookkeeping — schedulers that promise byte-identical tables must
-/// not decompose such cells.
-#[derive(Debug)]
-pub struct ShardPlan<'a> {
-    spec: &'a ScenarioSpec,
-    flows: Vec<FlowSpec>,
-    /// `(has_file, has_window)` over the flow mix.
-    mode: (bool, bool),
-    comp_of: Vec<u32>,
-    domain_nodes: Vec<usize>,
-    domain_flows: Vec<usize>,
-    n: usize,
-    started: std::time::Instant,
-    allocs0: hydra_sim::AllocStats,
-}
-
-impl ShardPlan<'_> {
-    /// Number of collision domains (always ≥ 2: single-domain worlds
-    /// return no plan).
-    pub fn domains(&self) -> usize {
-        self.domain_nodes.len()
-    }
-
-    /// Nodes living in domain `c`.
-    pub fn domain_nodes(&self, c: u32) -> usize {
-        self.domain_nodes[c as usize]
-    }
-
-    /// Flows whose source lives in domain `c`.
-    pub fn domain_flows(&self, c: u32) -> usize {
-        self.domain_flows[c as usize]
-    }
-
-    /// Domain `c`'s estimated share of the whole run's work, in
-    /// `(0, 1]`: traffic dominates event counts, nodes dominate world
-    /// construction. Schedulers use this to split a cell's predicted
-    /// cost across its shard tasks.
-    pub fn cost_share(&self, c: u32) -> f64 {
-        let weight = |d: usize| self.domain_nodes[d] as f64 + 8.0 * self.domain_flows[d] as f64;
-        let total: f64 = (0..self.domains()).map(weight).sum();
-        weight(c as usize) / total.max(1.0)
-    }
-
-    /// True when the decomposed outcome is byte-identical to
-    /// [`ScenarioSpec::run`] — window-measured and mixed runs, which
-    /// run every domain to the same fixed horizon. Pure file-transfer
-    /// multi-domain runs are *not* exact (each domain stops at its own
-    /// completion instant, so post-completion bookkeeping can differ).
-    pub fn exact(&self) -> bool {
-        self.mode != (true, false)
-    }
-
-    /// Builds and runs domain `c`'s restricted world, replaying exactly
-    /// that domain's slice of the sequential schedule.
-    ///
-    /// Panics on a domain failure (a tripped budget — each domain world
-    /// gets the spec's full budget, as documented in
-    /// docs/ROBUSTNESS.md); callers that must survive failures wrap the
-    /// call in `catch_unwind`, as the experiment runner does.
-    pub fn run_domain(&self, c: u32) -> RunOutcome {
-        let sub: Vec<FlowSpec> = self.flows.iter().filter(|f| self.comp_of[f.src] == c).copied().collect();
-        let world = self.spec.build_component(Some(c));
-        self.spec
-            .run_in(world, &sub, self.mode, std::time::Instant::now(), hydra_sim::alloc_stats())
-            .unwrap_or_else(|e| panic!("domain run failed: {e}"))
-    }
-
-    /// Merges the per-domain outcomes (indexed by domain, one per
-    /// domain) back into the whole-run outcome: each flow and node
-    /// belongs to exactly one domain, event/queue tallies sum, and the
-    /// wall clock spans from plan creation to the merge.
-    pub fn merge(&self, by_comp: Vec<RunOutcome>) -> RunOutcome {
-        assert_eq!(by_comp.len(), self.domains(), "one outcome per domain");
-        let mut sub_iters: Vec<std::vec::IntoIter<FlowOutcome>> =
-            by_comp.iter().map(|o| o.per_flow.clone().into_iter()).collect();
-        let per_flow: Vec<FlowOutcome> = self
-            .flows
-            .iter()
-            .map(|f| sub_iters[self.comp_of[f.src] as usize].next().expect("one outcome per flow"))
-            .collect();
-        let (has_file, _) = self.mode;
-        let headline: Vec<FlowOutcome> = if has_file {
-            per_flow.iter().filter(|o| o.flow.traffic.is_file()).cloned().collect()
-        } else {
-            per_flow.clone()
-        };
-        let report = RunReport {
-            nodes: (0..self.n).map(|i| by_comp[self.comp_of[i] as usize].report.nodes[i].clone()).collect(),
-            at: by_comp.iter().map(|o| o.report.at).max().expect("at least one domain"),
-            collisions: by_comp.iter().map(|o| o.report.collisions).sum(),
-        };
-        let allocs = hydra_sim::alloc_stats().since(self.allocs0);
-        RunOutcome {
-            completed: by_comp.iter().all(|o| o.completed),
-            throughput_bps: ScenarioSpec::worst_bps(&headline),
-            per_flow,
-            report,
-            perf: RunPerf {
-                events_processed: by_comp.iter().map(|o| o.perf.events_processed).sum(),
-                events_stale: by_comp.iter().map(|o| o.perf.events_stale).sum(),
-                timer_rearms: by_comp.iter().map(|o| o.perf.timer_rearms).sum(),
-                queue: by_comp.iter().fold(hydra_sim::QueueStats::default(), |acc, o| {
-                    hydra_sim::QueueStats {
-                        scheduled: acc.scheduled + o.perf.queue.scheduled,
-                        popped: acc.popped + o.perf.queue.popped,
-                        overflow_scheduled: acc.overflow_scheduled + o.perf.queue.overflow_scheduled,
-                        promoted: acc.promoted + o.perf.queue.promoted,
-                    }
-                }),
-                wall_ms: self.started.elapsed().as_secs_f64() * 1e3,
-                allocations: allocs.allocations,
-                allocated_bytes: allocs.allocated_bytes,
-            },
-        }
-    }
-}
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     match payload.downcast::<String>() {
         Ok(s) => *s,
@@ -1671,33 +1531,16 @@ mod tests {
     }
 
     #[test]
-    fn try_run_contains_injected_panics_and_io_faults() {
-        let _guard = hydra_sim::failpoint::exclusive();
-        hydra_sim::failpoint::disarm_all();
+    fn try_run_faulted_contains_an_injected_panic_and_only_that_run_sees_it() {
         let spec = small_spec();
-
-        hydra_sim::failpoint::arm("run.mid_event", hydra_sim::failpoint::FailAction::Panic, 100, 1);
-        let err = spec.try_run().expect_err("armed panic failpoint");
-        assert_eq!(err, RunError::Panicked("failpoint run.mid_event fired".into()));
-        hydra_sim::failpoint::disarm_all();
-
-        hydra_sim::failpoint::arm("run.io", hydra_sim::failpoint::FailAction::Io, 0, 1);
-        let err = spec.try_run().expect_err("armed io failpoint");
-        assert!(matches!(err, RunError::Io(_)), "{err:?}");
-        // The site fired once; the next run is clean and matches an
-        // undisturbed one.
-        assert_eq!(spec.try_run().expect("failpoint exhausted"), spec.run());
-        hydra_sim::failpoint::disarm_all();
-    }
-
-    #[test]
-    fn mid_event_stall_reports_budget_exhaustion() {
-        let _guard = hydra_sim::failpoint::exclusive();
-        hydra_sim::failpoint::disarm_all();
-        let spec = small_spec();
-        hydra_sim::failpoint::arm("run.mid_event", hydra_sim::failpoint::FailAction::Stall, 250, 1);
-        let err = spec.try_run().expect_err("armed stall failpoint");
-        assert!(matches!(err, RunError::BudgetExhausted { .. }), "{err:?}");
-        hydra_sim::failpoint::disarm_all();
+        let err = spec.try_run_faulted(Some(100)).expect_err("injected panic");
+        assert_eq!(err, RunError::Panicked("injected panic at event 100".into()));
+        assert_eq!(err.reason(), "panic");
+        // The fault was the run's own: the next runs are clean, and a
+        // fault past the run's last event never fires.
+        let clean = spec.run();
+        assert_eq!(spec.try_run_faulted(None), Ok(clean.clone()));
+        assert_eq!(spec.try_run(), Ok(clean.clone()));
+        assert_eq!(spec.try_run_faulted(Some(clean.perf.events_processed)), Ok(clean));
     }
 }

@@ -102,8 +102,8 @@ pub struct World {
     /// Splitting by component makes each domain's channel randomness
     /// independent of event interleaving across domains, which is what
     /// lets [`ScenarioSpec::run_sharded`](crate::ScenarioSpec::run_sharded)
-    /// run domains on separate worker threads and still match the
-    /// sequential schedule exactly.
+    /// replay each domain in its own restricted world and still match
+    /// the whole-world schedule exactly.
     channel_rng: Vec<Rng>,
     /// Node → collision-domain index (indexes `channel_rng`).
     component_of: Vec<u32>,
@@ -153,12 +153,16 @@ pub struct World {
     wall_deadline: Option<std::time::Instant>,
     /// Events left until the next wall-clock check.
     wall_check_in: u32,
-    /// Fast-path flag: true iff any budget limit is armed (keeps the
-    /// unbudgeted run loop at one extra predictable branch per event).
-    budget_armed: bool,
-    /// Latched when a limit trips (or a `run.mid_event` stall failpoint
-    /// fires): every `run_until*` loop bails immediately, and
-    /// [`World::check_budget`] reports [`RunError::BudgetExhausted`].
+    /// An injected panic as `(event index, events left before it
+    /// fires)`; `None` = no fault (see [`World::inject_panic_at`]).
+    panic_at: Option<(u64, u64)>,
+    /// Fast-path flag: true iff a budget limit or an injected panic is
+    /// armed (keeps the plain run loop at one extra predictable branch
+    /// per event).
+    gated: bool,
+    /// Latched when a limit trips: every `run_until*` loop bails
+    /// immediately, and [`World::check_budget`] reports
+    /// [`RunError::BudgetExhausted`].
     pub budget_exhausted: bool,
 }
 
@@ -246,7 +250,8 @@ impl World {
             event_budget: None,
             wall_deadline: None,
             wall_check_in: WALL_CHECK_PERIOD,
-            budget_armed: false,
+            panic_at: None,
+            gated: false,
             budget_exhausted: false,
         }
     }
@@ -271,11 +276,21 @@ impl World {
             .max_wall
             .map(|d| std::time::Instant::now() + std::time::Duration::from_nanos(d.as_nanos()));
         self.wall_check_in = WALL_CHECK_PERIOD;
-        self.budget_armed = self.event_budget.is_some() || self.wall_deadline.is_some();
+        self.gated = self.event_budget.is_some() || self.wall_deadline.is_some() || self.panic_at.is_some();
         // A zero event budget allows zero events.
         if self.event_budget == Some(0) {
             self.budget_exhausted = true;
         }
+    }
+
+    /// Injects a crash: the run loop panics right after dispatching
+    /// event `k` (0-based), with the message `injected panic at event
+    /// {k}`. The fault lives in this world only, so other runs — on
+    /// this thread or any other — never see it. Used by
+    /// `ScenarioSpec::try_run_faulted` to prove failure isolation.
+    pub(crate) fn inject_panic_at(&mut self, k: u64) {
+        self.panic_at = Some((k, k));
+        self.gated = true;
     }
 
     /// `Err(RunError::BudgetExhausted)` when the armed budget tripped;
@@ -289,34 +304,26 @@ impl World {
         }
     }
 
-    /// Post-dispatch gate shared by every run loop: polls the
-    /// `run.mid_event` failpoint, then the armed budget. Returns true
-    /// when the loop must bail. One relaxed atomic load plus one bool
-    /// check when nothing is armed.
+    /// Post-dispatch gate shared by every run loop: returns true when
+    /// the loop must bail. One bool check when nothing is armed.
     #[inline]
     fn after_event(&mut self) -> bool {
-        if hydra_sim::failpoint::armed() {
-            match hydra_sim::failpoint::hit("run.mid_event") {
-                Some(hydra_sim::failpoint::FailAction::Panic) => {
-                    panic!("failpoint run.mid_event fired")
-                }
-                Some(hydra_sim::failpoint::FailAction::Stall) => {
-                    self.budget_exhausted = true;
-                    return true;
-                }
-                _ => {}
-            }
-        }
-        if !self.budget_armed {
+        if !self.gated {
             return false;
         }
-        self.budget_gate()
+        self.gate()
     }
 
-    /// The armed-budget slow path (out of line to keep the run loops'
-    /// common case small).
+    /// The armed slow path: the injected panic, then the budget (out of
+    /// line to keep the run loops' common case small).
     #[cold]
-    fn budget_gate(&mut self) -> bool {
+    fn gate(&mut self) -> bool {
+        if let Some((k, left)) = &mut self.panic_at {
+            if *left == 0 {
+                panic!("injected panic at event {k}");
+            }
+            *left -= 1;
+        }
         if let Some(rem) = &mut self.event_budget {
             if *rem > 0 {
                 *rem -= 1;

@@ -92,7 +92,7 @@ proptest! {
             });
             let sparse = spec.run();
             prop_assert_eq!(&spec.run_dense_reference(), &sparse, "dense diverged under link errors");
-            prop_assert_eq!(&spec.run_sharded(4), &sparse, "sharded diverged under link errors");
+            prop_assert_eq!(&spec.run_sharded(), &sparse, "sharded diverged under link errors");
         }
     }
 }
