@@ -1,13 +1,14 @@
 //! Micro-benchmarks for the event engine: the calendar queue against
 //! its `BinaryHeap` reference oracle, isolated from MAC/PHY work.
 //!
-//! Three shapes, each run on both backends:
+//! Four shapes, each run on both backends:
 //!
 //! * `fill_drain` — schedule N events, then pop all N. Each iteration
-//!   builds a fresh queue, so the wheel's bucket allocation is charged
-//!   here too — it loses the small one-shot shape on constant factors
-//!   and amortises only over a queue's lifetime (the hold model below,
-//!   which is what a run loop actually does).
+//!   builds a fresh queue, so queue construction is charged here too.
+//! * `fresh_short_run` — a new queue per iteration driving ~13k events
+//!   through a small sliding pending set, then dropped: the per-world
+//!   warm-up of a short paper-grid run, which a per-bucket `Vec` layout
+//!   paid for with thousands of allocations and the entry slab does not.
 //! * `hold_churn` — prefill N pending, then pop-one/schedule-one for
 //!   many cycles at a bounded horizon: the classic hold model, and the
 //!   steady state of a DES run loop.
@@ -61,6 +62,36 @@ fn bench_fill_drain(c: &mut Criterion, n: u64) {
                     q.schedule_at(Instant::from_micros(rng.next() % 100_000), i);
                 }
                 let mut acc = 0u64;
+                while let Some((_, _, v)) = q.pop() {
+                    acc = acc.wrapping_add(v);
+                }
+                black_box(acc)
+            })
+        });
+    }
+    g.finish();
+}
+
+fn bench_fresh_short_run(c: &mut Criterion) {
+    const EVENTS: u64 = 13_000;
+    const PENDING: u64 = 16;
+    let mut g = c.benchmark_group("event_queue_fresh_short_run");
+    for (label, heap) in [("wheel", false), ("heap", true)] {
+        g.bench_function(label, |b| {
+            b.iter(|| {
+                let mut q = queue(heap);
+                let mut rng = Lcg(0xA076_1D64_78BD_642F);
+                for i in 0..PENDING {
+                    q.schedule_at(Instant::from_micros(rng.next() % 500), i);
+                }
+                let mut acc = 0u64;
+                for _ in 0..EVENTS - PENDING {
+                    let (now, _, v) = q.pop().expect("pending set never drains");
+                    acc = acc.wrapping_add(v);
+                    // MAC-scale delays: SIFS/slot steps up to a few ms.
+                    let at = now + hydra_sim::Duration::from_micros(rng.next() % 3_000 + 1);
+                    q.schedule_at(at, v);
+                }
                 while let Some((_, _, v)) = q.pop() {
                     acc = acc.wrapping_add(v);
                 }
@@ -128,6 +159,7 @@ fn bench_stale_storm(c: &mut Criterion) {
 fn benches(c: &mut Criterion) {
     bench_fill_drain(c, 1_000);
     bench_fill_drain(c, 100_000);
+    bench_fresh_short_run(c);
     bench_hold_churn(c, 1_000);
     bench_hold_churn(c, 100_000);
     bench_stale_storm(c);

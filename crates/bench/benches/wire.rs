@@ -6,7 +6,7 @@ use hydra_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
 
 use hydra_wire::aggregate::AggregateBuilder;
-use hydra_wire::crc::crc32;
+use hydra_wire::crc::{crc32, crc32_portable};
 use hydra_wire::phy_hdr::RateCode;
 use hydra_wire::subframe::{FrameType, SubframeRepr};
 use hydra_wire::tcp::{TcpFlags, TcpRepr};
@@ -26,12 +26,16 @@ fn repr() -> SubframeRepr {
     }
 }
 
+/// The dispatched `crc32` (carry-less multiply where the CPU has it)
+/// beside the portable slice-by-16 kernel, at the minimum subframe, a
+/// full data subframe, and a large aggregate.
 fn bench_crc(c: &mut Criterion) {
     let mut g = c.benchmark_group("crc32");
     for size in [160usize, 1464, 5120] {
         let data = vec![0xA5u8; size];
         g.throughput(Throughput::Bytes(size as u64));
         g.bench_function(format!("{size}B"), |b| b.iter(|| crc32(black_box(&data))));
+        g.bench_function(format!("{size}B_portable"), |b| b.iter(|| crc32_portable(black_box(&data))));
     }
     g.finish();
 }

@@ -58,6 +58,11 @@ options:
   --assert-events-per-s N
                        fail (exit 1) if any scale row's sparse engine
                        falls below N events/s — the CI perf floor
+  --assert-allocs-per-kevent N
+                       fail (exit 1) if the grid's allocations per 1k
+                       events exceed N — a CI ceiling that is stable on
+                       any host, since a sequential grid's allocation
+                       count is deterministic
   --assert-scale-speedup X
                        fail (exit 1) if any scale row with >= 300 nodes
                        speeds up less than X times over the dense
@@ -96,6 +101,7 @@ struct Args {
     baseline_wall_s: Option<f64>,
     scale: bool,
     assert_events_per_s: Option<f64>,
+    assert_allocs_per_kevent: Option<f64>,
     assert_scale_speedup: Option<f64>,
     note: Option<String>,
     chaos: bool,
@@ -130,6 +136,7 @@ fn parse_args() -> Args {
         baseline_wall_s: None,
         scale: false,
         assert_events_per_s: None,
+        assert_allocs_per_kevent: None,
         assert_scale_speedup: None,
         note: None,
         chaos: false,
@@ -181,6 +188,10 @@ fn parse_args() -> Args {
                 a.assert_events_per_s =
                     Some(val(&mut i).parse().unwrap_or_else(|_| die("bad events/s floor")))
             }
+            "--assert-allocs-per-kevent" => {
+                a.assert_allocs_per_kevent =
+                    Some(val(&mut i).parse().unwrap_or_else(|_| die("bad allocs/kevent ceiling")))
+            }
             "--assert-scale-speedup" => {
                 a.assert_scale_speedup =
                     Some(val(&mut i).parse().unwrap_or_else(|_| die("bad speedup floor")))
@@ -207,6 +218,20 @@ fn smoke_grid() -> Vec<(String, Vec<ScenarioSpec>)> {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("read {path}: {e}")));
     let specs = parse_scn(&text).unwrap_or_else(|e| die(&format!("{path}:{e}")));
     vec![("smoke".to_string(), specs)]
+}
+
+/// The host's CPU model from `/proc/cpuinfo` (`unknown` elsewhere):
+/// with the core count, the fingerprint that says which walls belong
+/// to one series.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines().find_map(|l| {
+                l.strip_prefix("model name")?.split_once(':').map(|(_, m)| m.trim().to_string())
+            })
+        })
+        .unwrap_or_else(|| "unknown".into())
 }
 
 fn quote(s: &str) -> String {
@@ -576,6 +601,11 @@ fn main() {
     j.push_str(&format!("  \"grid\": {},\n", quote(&args.grid)));
     j.push_str(&format!("  \"seeds\": {},\n", args.seeds));
     j.push_str(&format!(
+        "  \"machine\": {{\"nproc\": {}, \"cpu_model\": {}}},\n",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        quote(&cpu_model())
+    ));
+    j.push_str(&format!(
         "  \"queue\": {},\n",
         quote(match args.queue {
             QueueMode::Wheel => "wheel",
@@ -692,6 +722,17 @@ fn main() {
                 std::process::exit(1);
             }
         }
+    }
+    if let Some(ceiling) = args.assert_allocs_per_kevent {
+        let per_kevent = total.allocations as f64 / (total.events_processed.max(1) as f64 / 1e3);
+        if per_kevent > ceiling {
+            eprintln!(
+                "ALLOCATION CEILING FAILED: grid {} made {per_kevent:.1} allocations per 1k events (> {ceiling} ceiling)",
+                args.grid
+            );
+            std::process::exit(1);
+        }
+        eprintln!("allocation ceiling {ceiling}: ok ({per_kevent:.1} allocations per 1k events)");
     }
     if let Some(min) = args.assert_scale_speedup {
         for r in scale.iter().filter(|r| r.nodes >= 300) {

@@ -479,7 +479,7 @@ impl Mac {
             self.counters.time.add(cat::CONTROL, self.control_airtime(RTS_LEN));
             self.current = Some(frame);
             self.state = State::TxRts;
-            out.push(MacOutput::StartTx(OnAirFrame::control(rts.to_bytes())));
+            out.push(MacOutput::StartTx(OnAirFrame::Control(rts.encode())));
         } else if frame.expects_ack() {
             self.current = Some(frame);
             self.start_data_tx(now, out);
@@ -653,12 +653,12 @@ impl Mac {
                 Some(AfterSifs::Cts(cts)) => {
                     self.counters.tx_cts += 1;
                     self.state = State::TxResponse;
-                    out.push(MacOutput::StartTx(OnAirFrame::control(cts.to_bytes())));
+                    out.push(MacOutput::StartTx(OnAirFrame::Control(cts.encode())));
                 }
                 Some(AfterSifs::Ack(ack)) => {
                     self.counters.tx_acks += 1;
                     self.state = State::TxResponse;
-                    out.push(MacOutput::StartTx(OnAirFrame::control(ack.to_bytes())));
+                    out.push(MacOutput::StartTx(OnAirFrame::Control(ack.encode())));
                 }
                 Some(AfterSifs::Data) => {
                     self.counters.time.add(cat::SIFS, self.cfg.sifs);

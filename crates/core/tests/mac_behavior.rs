@@ -166,7 +166,7 @@ fn unicast_tx_runs_full_rts_cts_data_ack_exchange() {
     // CTS arrives.
     h.advance(Duration::from_micros(400));
     let cts = ControlFrame::Cts { duration_us: 3000, ra: me() };
-    h.feed(MacInput::Rx(OnAirFrame::control(cts.to_bytes())));
+    h.feed(MacInput::Rx(OnAirFrame::Control(cts.encode())));
 
     // SIFS fires -> data aggregate.
     let f = h.run_until_tx();
@@ -180,7 +180,7 @@ fn unicast_tx_runs_full_rts_cts_data_ack_exchange() {
     // ACK arrives -> success, counters updated.
     h.advance(Duration::from_micros(400));
     let ack = ControlFrame::Ack { duration_us: 0, ra: me() };
-    h.feed(MacInput::Rx(OnAirFrame::control(ack.to_bytes())));
+    h.feed(MacInput::Rx(OnAirFrame::Control(ack.encode())));
 
     assert_eq!(h.mac.counters.tx_data_frames, 1);
     assert_eq!(h.mac.counters.tx_rts, 1);
@@ -307,7 +307,7 @@ fn dba_flush_timer_releases_stuck_frames() {
 fn responds_cts_to_rts_after_sifs() {
     let mut h = Harness::new(AggPolicy::broadcast(), Rate::R1_30);
     let rts = ControlFrame::Rts { duration_us: 5000, ra: me(), ta: peer() };
-    h.feed(MacInput::Rx(OnAirFrame::control(rts.to_bytes())));
+    h.feed(MacInput::Rx(OnAirFrame::Control(rts.encode())));
     let f = h.run_until_tx();
     let OnAirFrame::Control(bytes) = &f else { panic!() };
     let ControlFrame::Cts { ra, duration_us } = ControlFrame::parse(bytes).unwrap() else {
@@ -426,7 +426,7 @@ fn rts_for_someone_else_sets_nav_and_defers() {
     let mut h = Harness::new(AggPolicy::unicast(), Rate::R1_30);
     // A long NAV from a foreign RTS.
     let rts = ControlFrame::Rts { duration_us: 50_000, ra: peer(), ta: MacAddr::from_node_id(7) };
-    h.feed(MacInput::Rx(OnAirFrame::control(rts.to_bytes())));
+    h.feed(MacInput::Rx(OnAirFrame::Control(rts.encode())));
     // Now traffic arrives; contention must wait out the NAV.
     enqueue_unicast(&mut h, 1, 200);
     // First timer is the NAV wake-up; the MAC must not transmit before

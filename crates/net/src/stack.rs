@@ -4,7 +4,7 @@ use hydra_wire::encap::{EncapProto, EncapRepr, HEADER_LEN as ENCAP_LEN};
 use hydra_wire::ipv4::{IpProtocol, Ipv4Packet, Ipv4Repr, HEADER_LEN as IPV4_LEN};
 use hydra_wire::tcp::TcpRepr;
 use hydra_wire::udp::UdpRepr;
-use hydra_wire::{Ipv4Addr, MacAddr};
+use hydra_wire::{Ipv4Addr, MacAddr, Payload};
 
 use crate::routing::{ArpTable, RouteTable};
 
@@ -52,8 +52,8 @@ pub enum NetVerdict {
         ip: Ipv4Repr,
         /// Parsed TCP header.
         tcp: TcpRepr,
-        /// Segment payload.
-        payload: Vec<u8>,
+        /// Segment payload (a zero-copy view of the received bytes)
+        payload: Payload,
     },
     /// A UDP datagram for this host.
     DeliverUdp {
@@ -61,15 +61,15 @@ pub enum NetVerdict {
         ip: Ipv4Repr,
         /// Parsed UDP header.
         udp: UdpRepr,
-        /// Datagram payload.
-        payload: Vec<u8>,
+        /// Datagram payload (a zero-copy view of the received bytes)
+        payload: Payload,
     },
     /// A raw link-local payload (flooding traffic).
     DeliverRaw {
         /// Originating node id from the shim.
         src_node: u16,
-        /// Raw payload.
-        payload: Vec<u8>,
+        /// Raw payload (a zero-copy view of the received bytes)
+        payload: Payload,
     },
     /// Forward toward the destination: re-enqueue at the MAC.
     Forward {
@@ -172,22 +172,23 @@ impl NetStack {
         self.routes.next_hop(dst)
     }
 
-    /// Processes an MPDU payload handed up by the MAC.
-    pub fn receive(&mut self, mpdu_payload: &[u8]) -> NetVerdict {
-        let Ok((encap, inner)) = EncapRepr::parse(mpdu_payload) else {
+    /// Processes an MPDU payload handed up by the MAC. Delivered
+    /// payloads are zero-copy sub-views of `mpdu`.
+    pub fn receive(&mut self, mpdu: &Payload) -> NetVerdict {
+        let Ok((encap, inner)) = EncapRepr::parse(mpdu) else {
             self.counters.malformed += 1;
             return NetVerdict::Drop;
         };
         match encap.proto {
             EncapProto::Raw => {
                 self.counters.delivered += 1;
-                NetVerdict::DeliverRaw { src_node: encap.src_node, payload: inner.to_vec() }
+                NetVerdict::DeliverRaw { src_node: encap.src_node, payload: mpdu.slice_ref(inner) }
             }
-            EncapProto::Ipv4 => self.receive_ipv4(encap, inner),
+            EncapProto::Ipv4 => self.receive_ipv4(mpdu, encap, inner),
         }
     }
 
-    fn receive_ipv4(&mut self, encap: EncapRepr, inner: &[u8]) -> NetVerdict {
+    fn receive_ipv4(&mut self, mpdu: &Payload, encap: EncapRepr, inner: &[u8]) -> NetVerdict {
         let Ok(pkt) = Ipv4Packet::new_checked(inner) else {
             self.counters.malformed += 1;
             return NetVerdict::Drop;
@@ -197,7 +198,7 @@ impl NetStack {
             return NetVerdict::Drop;
         };
         if ip.dst == self.cfg.addr || ip.dst.is_broadcast() {
-            return self.deliver_local(ip, pkt.payload());
+            return self.deliver_local(mpdu, ip, pkt.payload());
         }
         // Forwarding path.
         if ip.ttl <= 1 {
@@ -213,23 +214,23 @@ impl NetStack {
             return NetVerdict::Drop;
         };
         // Rewrap with decremented TTL; the encap shim (and its packet id,
-        // which the MAC dedup uses) is preserved across hops.
-        let mut ip_bytes = inner[..ip.packet_len()].to_vec();
-        let mut p = Ipv4Packet::new_unchecked(&mut ip_bytes[..]);
-        p.decrement_ttl();
-        let mut out = vec![0u8; ENCAP_LEN + ip_bytes.len()];
-        encap.emit(&mut out[..ENCAP_LEN]);
-        out[ENCAP_LEN..].copy_from_slice(&ip_bytes);
+        // which the MAC dedup uses) is preserved across hops. One copy of
+        // the IP packet into the outgoing MPDU, TTL decremented in place.
+        let mut out = Vec::with_capacity(ENCAP_LEN + ip.packet_len());
+        out.resize(ENCAP_LEN, 0);
+        encap.emit(&mut out);
+        out.extend_from_slice(&inner[..ip.packet_len()]);
+        Ipv4Packet::new_unchecked(&mut out[ENCAP_LEN..]).decrement_ttl();
         self.counters.forwarded += 1;
         NetVerdict::Forward { next_hop, mpdu_payload: out }
     }
 
-    fn deliver_local(&mut self, ip: Ipv4Repr, l4: &[u8]) -> NetVerdict {
+    fn deliver_local(&mut self, mpdu: &Payload, ip: Ipv4Repr, l4: &[u8]) -> NetVerdict {
         match ip.protocol {
             IpProtocol::Tcp => match TcpRepr::parse(&ip, l4) {
                 Ok((tcp, payload)) => {
                     self.counters.delivered += 1;
-                    NetVerdict::DeliverTcp { ip, tcp, payload: payload.to_vec() }
+                    NetVerdict::DeliverTcp { ip, tcp, payload: mpdu.slice_ref(payload) }
                 }
                 Err(_) => {
                     self.counters.malformed += 1;
@@ -239,7 +240,7 @@ impl NetStack {
             IpProtocol::Udp => match UdpRepr::parse(&ip, l4) {
                 Ok((udp, payload)) => {
                     self.counters.delivered += 1;
-                    NetVerdict::DeliverUdp { ip, udp, payload: payload.to_vec() }
+                    NetVerdict::DeliverUdp { ip, udp, payload: mpdu.slice_ref(payload) }
                 }
                 Err(_) => {
                     self.counters.malformed += 1;
@@ -316,7 +317,7 @@ mod tests {
         let mut rel = relay();
         let seg = tcp_segment_bytes(Ipv4Addr::from_node_id(0), Ipv4Addr::from_node_id(2), b"data");
         let (_, mpdu) = src.send_l4(IpProtocol::Tcp, Ipv4Addr::from_node_id(2), &seg).unwrap();
-        match rel.receive(&mpdu) {
+        match rel.receive(&mpdu.into()) {
             NetVerdict::Forward { next_hop, mpdu_payload } => {
                 assert_eq!(next_hop, MacAddr::from_node_id(2));
                 // TTL went 64 -> 63 and the IP checksum still verifies.
@@ -337,7 +338,7 @@ mod tests {
         let seg = tcp_segment_bytes(Ipv4Addr::from_node_id(0), Ipv4Addr::from_node_id(2), b"d");
         let (_, mpdu) = src.send_l4(IpProtocol::Tcp, Ipv4Addr::from_node_id(2), &seg).unwrap();
         let (orig_encap, _) = EncapRepr::parse(&mpdu).unwrap();
-        let NetVerdict::Forward { mpdu_payload, .. } = rel.receive(&mpdu) else { panic!() };
+        let NetVerdict::Forward { mpdu_payload, .. } = rel.receive(&mpdu.into()) else { panic!() };
         let (fwd_encap, _) = EncapRepr::parse(&mpdu_payload).unwrap();
         assert_eq!(fwd_encap.packet_id, orig_encap.packet_id);
         assert_eq!(fwd_encap.src_node, orig_encap.src_node);
@@ -349,11 +350,14 @@ mod tests {
         let mut dst = endpoint_stack(2, 1, 3);
         let seg = tcp_segment_bytes(Ipv4Addr::from_node_id(0), Ipv4Addr::from_node_id(2), b"hello");
         let (_, mpdu) = src.send_l4(IpProtocol::Tcp, Ipv4Addr::from_node_id(2), &seg).unwrap();
+        let mpdu = Payload::from(mpdu);
         match dst.receive(&mpdu) {
             NetVerdict::DeliverTcp { ip, tcp, payload } => {
                 assert_eq!(ip.src, Ipv4Addr::from_node_id(0));
                 assert_eq!(tcp.src_port, 1);
-                assert_eq!(payload, b"hello");
+                assert_eq!(payload, *b"hello");
+                // Zero-copy: the delivered bytes are the MPDU's tail.
+                assert!(core::ptr::eq(payload.as_ptr(), &mpdu[mpdu.len() - 5]));
             }
             v => panic!("expected DeliverTcp, got {v:?}"),
         }
@@ -370,10 +374,10 @@ mod tests {
             &UdpRepr { src_port: 7, dst_port: 8 },
             b"dgram",
         );
-        match dst.receive(&mpdu) {
+        match dst.receive(&mpdu.into()) {
             NetVerdict::DeliverUdp { udp, payload, .. } => {
                 assert_eq!(udp.dst_port, 8);
-                assert_eq!(payload, b"dgram");
+                assert_eq!(payload, *b"dgram");
             }
             v => panic!("expected DeliverUdp, got {v:?}"),
         }
@@ -395,7 +399,7 @@ mod tests {
         encap.emit(&mut mpdu[..ENCAP_LEN]);
         ip.emit(&mut mpdu[ENCAP_LEN..]);
         mpdu[ENCAP_LEN + IPV4_LEN..].copy_from_slice(&seg);
-        assert!(matches!(rel.receive(&mpdu), NetVerdict::Drop));
+        assert!(matches!(rel.receive(&mpdu.into()), NetVerdict::Drop));
         assert_eq!(rel.counters.ttl_expired, 1);
     }
 
@@ -405,10 +409,10 @@ mod tests {
         let (mac, mpdu) = src.send_raw_broadcast(b"FLOOD");
         assert_eq!(mac, MacAddr::BROADCAST);
         let mut dst = relay();
-        match dst.receive(&mpdu) {
+        match dst.receive(&mpdu.into()) {
             NetVerdict::DeliverRaw { src_node, payload } => {
                 assert_eq!(src_node, 0);
-                assert_eq!(payload, b"FLOOD");
+                assert_eq!(payload, *b"FLOOD");
             }
             v => panic!("expected DeliverRaw, got {v:?}"),
         }
@@ -417,8 +421,8 @@ mod tests {
     #[test]
     fn malformed_input_counted() {
         let mut s = relay();
-        assert!(matches!(s.receive(&[0xFF; 30]), NetVerdict::Drop));
-        assert!(matches!(s.receive(&[]), NetVerdict::Drop));
+        assert!(matches!(s.receive(&Payload::from(vec![0xFF; 30])), NetVerdict::Drop));
+        assert!(matches!(s.receive(&Payload::empty()), NetVerdict::Drop));
         assert_eq!(s.counters.malformed, 2);
     }
 }

@@ -18,7 +18,7 @@ use hydra_phy::{
 use hydra_sim::{stream_seed, Duration, EventQueue, Instant, QueueStats, Rng, TimerToken};
 use hydra_tcp::{OutboundSegment, TcpStack};
 use hydra_wire::ipv4::IpProtocol;
-use hydra_wire::{MacAddr, Payload};
+use hydra_wire::{MacAddr, ParsedSubframe, Payload};
 
 use crate::node::{Apps, Node};
 use crate::spec::{LinkErrorSpec, RunBudget, RunError};
@@ -64,6 +64,14 @@ impl MediumKind {
             }
         }
     }
+}
+
+/// Empties a parse buffer and re-types it for a new borrow of a PSDU,
+/// keeping its allocation: only the lifetime differs, so the element
+/// layout is unchanged and `Vec`'s in-place collect reuses the buffer.
+fn recycle_parse<'b>(mut parsed: Vec<ParsedSubframe<'_>>) -> Vec<ParsedSubframe<'b>> {
+    parsed.clear();
+    parsed.into_iter().map(|_| unreachable!("cleared above")).collect()
 }
 
 #[derive(Debug)]
@@ -139,6 +147,9 @@ pub struct World {
     tcp_seg_pool: Vec<Vec<OutboundSegment>>,
     /// Recycled application payload buffers for `poll_apps`.
     app_out_pool: Vec<Vec<Vec<u8>>>,
+    /// Recycled buffer for the shared trusted parse in `on_tx_end`
+    /// (re-typed per transmission by [`recycle_parse`]).
+    parse_pool: Vec<ParsedSubframe<'static>>,
     /// Set by `pump_tcp`: a TCP socket may have made progress since the
     /// last `transfers_complete` check (the dirty flag that lets
     /// [`World::run_until_transfers_complete`] skip the O(nodes × flows)
@@ -246,6 +257,7 @@ impl World {
             delivery_pool: Vec::new(),
             tcp_seg_pool: Vec::new(),
             app_out_pool: Vec::new(),
+            parse_pool: Vec::new(),
             tcp_activity: false,
             event_budget: None,
             wall_deadline: None,
@@ -568,7 +580,7 @@ impl World {
         node: usize,
         phy_hdr: &hydra_wire::PhyHeader,
         psdu: &Payload,
-        parsed: &[hydra_wire::ParsedSubframe<'_>],
+        parsed: &[ParsedSubframe<'_>],
     ) {
         let now = self.now();
         let mut outs = self.mac_out_pool.pop().unwrap_or_default();
@@ -634,7 +646,7 @@ impl World {
             OnAirFrame::Aggregate { phy_hdr, psdu, .. } => Some((phy_hdr, psdu)),
             _ => None,
         };
-        let mut shared_parse: Option<Vec<hydra_wire::ParsedSubframe<'_>>> = None;
+        let mut shared_parse: Option<Vec<ParsedSubframe<'_>>> = None;
         for d in deliveries.drain(..) {
             if !d.clean {
                 self.collisions += 1;
@@ -663,6 +675,9 @@ impl World {
             }
         }
         self.delivery_pool.push(deliveries);
+        if let Some(parsed) = shared_parse {
+            self.parse_pool = recycle_parse(parsed);
+        }
     }
 
     /// Applies the per-link error model to one delivery, returning the
@@ -717,7 +732,7 @@ impl World {
         rx: OnAirFrame,
         reorder: bool,
         agg: Option<(&'f hydra_wire::PhyHeader, &'f Payload)>,
-        shared_parse: &mut Option<Vec<hydra_wire::ParsedSubframe<'f>>>,
+        shared_parse: &mut Option<Vec<ParsedSubframe<'f>>>,
     ) {
         match rx {
             OnAirFrame::Aggregate { phy_hdr, psdu, slots } => {
@@ -727,8 +742,14 @@ impl World {
                     // Trusted parse: the PSDU pointer-matches the buffer
                     // the assembler built, so every FCS is known-good by
                     // construction — no CRC pass at all on the clean path.
-                    let parsed =
-                        shared_parse.get_or_insert_with(|| hydra_wire::parse_aggregate_trusted(hdr, tx_psdu));
+                    let parsed = match shared_parse {
+                        Some(parsed) => parsed,
+                        None => {
+                            let mut buf = recycle_parse(std::mem::take(&mut self.parse_pool));
+                            hydra_wire::parse_aggregate_trusted(hdr, tx_psdu, &mut buf);
+                            shared_parse.insert(buf)
+                        }
+                    };
                     self.mac_input_rx_parsed(receiver, hdr, tx_psdu, parsed);
                 } else if reorder {
                     // Reordered copies need their own *checked* parse (the
@@ -860,5 +881,27 @@ impl World {
         if let Some(w) = next_wake {
             self.schedule_app_wake(node, w);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn recycle_parse_keeps_the_allocation() {
+        let psdu = [0u8; 4];
+        let mut parsed = Vec::with_capacity(8);
+        parsed.push(ParsedSubframe {
+            portion: hydra_wire::Portion::Unicast,
+            bytes: &psdu[..],
+            range: 0..4,
+            fcs_ok: true,
+        });
+        let ptr = parsed.as_ptr() as usize;
+        let recycled: Vec<ParsedSubframe<'static>> = recycle_parse(parsed);
+        assert!(recycled.is_empty());
+        assert_eq!(recycled.as_ptr() as usize, ptr, "buffer must be reused, not reallocated");
+        assert_eq!(recycled.capacity(), 8);
     }
 }

@@ -276,13 +276,12 @@ pub fn apply_channel(
                 bytes: bytes.len(),
                 snr_db,
             };
+            // Control frames are inline: corrupt a stack copy.
+            let mut out = *bytes;
             if model.subframe_corrupt(&ctx, rng) {
-                let mut out = bytes.to_vec();
                 corrupt_byte(&mut out, 2, rng); // hit duration/addr region
-                Some(OnAirFrame::Control(out.into()))
-            } else {
-                Some(OnAirFrame::Control(bytes.clone()))
             }
+            Some(OnAirFrame::Control(out))
         }
         OnAirFrame::Aggregate { phy_hdr, psdu, slots } => {
             let bcast_rate = Rate::from_code(phy_hdr.bcast_rate).unwrap_or(profile.base_rate);
@@ -486,7 +485,7 @@ mod tests {
             ra: MacAddr::from_node_id(1),
             ta: MacAddr::from_node_id(2),
         };
-        let f = OnAirFrame::control(rts.to_bytes());
+        let f = OnAirFrame::Control(rts.encode());
         let out = apply_channel(&f, 25.0, &mut model, &mut rng, &p).unwrap();
         let OnAirFrame::Control(bytes) = out else { panic!() };
         assert!(hydra_wire::ControlFrame::parse(&bytes).is_err());

@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use hydra_sim::Duration;
 use hydra_wire::aggregate::SubframeSlot;
+use hydra_wire::control::ControlBytes;
 use hydra_wire::phy_hdr::PhyHeader;
 use hydra_wire::Payload;
 
@@ -17,7 +18,8 @@ pub type SharedSlots = Arc<[SubframeSlot]>;
 
 /// A frame as it exists on the air.
 ///
-/// Cloning is cheap: the PSDU bytes and the slot metadata are
+/// Cloning is cheap: control frames are inline ([`ControlBytes`], no
+/// heap), and an aggregate's PSDU bytes and slot metadata are
 /// reference-counted ([`Payload`] / [`SharedSlots`]), so fanning one
 /// transmission out to N receivers bumps two counters per receiver
 /// instead of copying the whole frame N times. The channel model only
@@ -26,7 +28,7 @@ pub type SharedSlots = Arc<[SubframeSlot]>;
 #[derive(Debug, Clone)]
 pub enum OnAirFrame {
     /// A standalone control frame (RTS/CTS/ACK) at the base rate.
-    Control(Payload),
+    Control(ControlBytes),
     /// An aggregated data frame: dual-rate PHY header + PSDU.
     Aggregate {
         /// The dual-rate PHY header (paper Figure 2).
@@ -40,11 +42,6 @@ pub enum OnAirFrame {
 }
 
 impl OnAirFrame {
-    /// A control frame from freshly serialized bytes.
-    pub fn control(bytes: impl Into<Payload>) -> Self {
-        OnAirFrame::Control(bytes.into())
-    }
-
     /// An aggregate from freshly assembled parts.
     pub fn aggregate(phy_hdr: PhyHeader, psdu: impl Into<Payload>, slots: Vec<SubframeSlot>) -> Self {
         OnAirFrame::Aggregate { phy_hdr, psdu: psdu.into(), slots: slots.into() }
@@ -147,7 +144,12 @@ mod tests {
 
     #[test]
     fn control_airtime() {
-        let f = OnAirFrame::control(vec![0; 20]); // RTS
+        let rts = hydra_wire::ControlFrame::Rts {
+            duration_us: 0,
+            ra: hydra_wire::MacAddr::from_node_id(1),
+            ta: hydra_wire::MacAddr::from_node_id(2),
+        };
+        let f = OnAirFrame::Control(rts.encode()); // 20 B
         let a = f.airtime(&profile());
         assert_eq!(a.preamble, Duration::from_micros(170));
         assert_eq!(a.phy_header, Duration::ZERO);

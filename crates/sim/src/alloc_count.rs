@@ -16,10 +16,11 @@
 //! zeros — callers treat the counters as "optional telemetry", never as
 //! ground truth for correctness.
 //!
-//! This is the single `unsafe` site in the workspace (the
-//! [`core::alloc::GlobalAlloc`] contract itself is an unsafe trait);
-//! the implementation only forwards to [`std::alloc::System`] and bumps
-//! two relaxed atomics.
+//! This is one of the workspace's two `unsafe` sites (the
+//! [`core::alloc::GlobalAlloc`] contract itself is an unsafe trait; the
+//! other is `hydra_wire::crc`'s call into its PCLMULQDQ kernel after
+//! runtime feature detection); the implementation only forwards to
+//! [`std::alloc::System`] and bumps two relaxed atomics.
 
 #![allow(unsafe_code)]
 

@@ -106,29 +106,56 @@ fn bucket_of(at: Instant) -> u64 {
     at.as_nanos() >> BUCKET_SHIFT
 }
 
+/// Link terminator for the slab's bucket lists and free list.
+const NIL: u32 = u32::MAX;
+
+/// One slab cell: a pending entry linked into its bucket's list, or a
+/// vacant cell linked into the free list.
+struct Slot<E> {
+    entry: Option<Entry<E>>,
+    next: u32,
+}
+
 /// The calendar-queue level structure.
+///
+/// Storage is one entry slab shared by every bucket: each bucket is an
+/// index-linked list threaded through `slots` (head in `heads`), and the
+/// bucket under the cursor is moved out into `cursor`, one reused `Vec`
+/// kept sorted descending. Vacant slots are recycled through the free
+/// list, so within one queue's lifetime steady-state schedules allocate
+/// nothing once the slab and cursor have grown to the peak pending set.
+/// A fresh queue (one per world, i.e. per run) starts empty and grows
+/// again — a handful of allocations, not one `Vec` per bucket.
 ///
 /// Invariants (restored at every schedule/pop):
 /// * every wheel entry has `bucket_of(at)` in `[base, base + WHEEL_BUCKETS)`,
 ///   so masked bucket indices are unambiguous;
+/// * entries of bucket `active` live in `cursor` and nowhere else; every
+///   other bucket's entries live in its slab list;
 /// * after a pop's promotion step, every overflow entry has
 ///   `bucket_of(at) >= base + WHEEL_BUCKETS`, i.e. is strictly later than
 ///   every wheel entry;
 /// * `base <= bucket_of(now)` except transiently inside `pop` right after
 ///   an empty-wheel promotion jump (which always pops immediately after).
 struct Wheel<E> {
-    /// Ring of buckets, indexed by `bucket & WHEEL_MASK`. Bucket vecs keep
-    /// their capacity when drained, so steady state schedules allocate
-    /// nothing.
-    buckets: Vec<Vec<Entry<E>>>,
+    /// Entry slab; vacant slots are chained from `free`.
+    slots: Vec<Slot<E>>,
+    /// Head of the vacant-slot chain, or `NIL`.
+    free: u32,
+    /// Head slot of each bucket's list (`NIL` = empty), indexed by
+    /// `bucket & WHEEL_MASK`. List order is irrelevant: a bucket is
+    /// sorted when the cursor reaches it.
+    heads: [u32; WHEEL_BUCKETS],
+    /// The entries of bucket `active`, sorted descending by `(at, seq)`
+    /// (popped from the back). Empty when `active == NO_ACTIVE`.
+    cursor: Vec<Entry<E>>,
     /// One bit per bucket: set iff the bucket is non-empty.
     occupancy: [u64; WORDS],
     /// Absolute bucket index the cursor has reached (monotone).
     base: u64,
-    /// Absolute index of the bucket currently sorted descending by
-    /// `(at, seq)` (popped from the back), or `NO_ACTIVE`.
+    /// Absolute index of the bucket held in `cursor`, or `NO_ACTIVE`.
     active: u64,
-    /// Entries currently in wheel buckets (excludes overflow).
+    /// Entries currently in the wheel (excludes overflow).
     len: usize,
     /// Far-future events, beyond `base + WHEEL_BUCKETS`.
     overflow: BinaryHeap<Entry<E>>,
@@ -136,10 +163,11 @@ struct Wheel<E> {
 
 impl<E> Wheel<E> {
     fn new() -> Self {
-        let mut buckets = Vec::with_capacity(WHEEL_BUCKETS);
-        buckets.resize_with(WHEEL_BUCKETS, Vec::new);
         Wheel {
-            buckets,
+            slots: Vec::new(),
+            free: NIL,
+            heads: [NIL; WHEEL_BUCKETS],
+            cursor: Vec::new(),
             occupancy: [0; WORDS],
             base: 0,
             active: NO_ACTIVE,
@@ -152,6 +180,57 @@ impl<E> Wheel<E> {
         self.len + self.overflow.len()
     }
 
+    /// Pushes `e` onto the list of the bucket at masked index `idx`,
+    /// reusing a vacant slot when there is one.
+    fn link(&mut self, idx: usize, e: Entry<E>) {
+        let next = self.heads[idx];
+        let slot = if self.free != NIL {
+            let s = self.free;
+            let cell = &mut self.slots[s as usize];
+            self.free = cell.next;
+            *cell = Slot { entry: Some(e), next };
+            s
+        } else {
+            let s = u32::try_from(self.slots.len()).expect("event slab exceeds u32 slots");
+            self.slots.push(Slot { entry: Some(e), next });
+            s
+        };
+        self.heads[idx] = slot;
+    }
+
+    /// Moves the list of bucket `idx` into the (empty) cursor, freeing
+    /// its slots, and sorts it: one sort makes every later pop from the
+    /// bucket O(1).
+    fn activate(&mut self, idx: usize, abs: u64) {
+        debug_assert!(self.cursor.is_empty());
+        let mut s = std::mem::replace(&mut self.heads[idx], NIL);
+        while s != NIL {
+            let cell = &mut self.slots[s as usize];
+            self.cursor.push(cell.entry.take().expect("linked slot holds an entry"));
+            let next = std::mem::replace(&mut cell.next, self.free);
+            self.free = s;
+            s = next;
+        }
+        self.cursor.sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
+        self.active = abs;
+    }
+
+    /// Returns the cursor's entries to their bucket's list. Needed when a
+    /// not-due `pop_before` probe sorted a bucket and an earlier bucket
+    /// has filled since: the cursor must move back to the earlier one.
+    fn spill(&mut self) {
+        if self.active == NO_ACTIVE {
+            return;
+        }
+        let idx = (self.active & WHEEL_MASK) as usize;
+        let mut cursor = std::mem::take(&mut self.cursor);
+        for e in cursor.drain(..) {
+            self.link(idx, e);
+        }
+        self.cursor = cursor;
+        self.active = NO_ACTIVE;
+    }
+
     /// Places `e` into its bucket (or the overflow heap). Returns `true`
     /// if it overflowed.
     fn insert(&mut self, e: Entry<E>) -> bool {
@@ -162,15 +241,14 @@ impl<E> Wheel<E> {
         }
         debug_assert!(b >= self.base, "wheel insert below base: bucket={b} base={}", self.base);
         let idx = (b & WHEEL_MASK) as usize;
-        let bucket = &mut self.buckets[idx];
         if b == self.active {
-            // The cursor bucket stays sorted descending so pops stay O(1);
-            // a binary insert keeps same-instant FIFO intact.
+            // The cursor stays sorted descending so pops stay O(1); a
+            // binary insert keeps same-instant FIFO intact.
             let key = (e.at, e.seq);
-            let pos = bucket.partition_point(|x| (x.at, x.seq) > key);
-            bucket.insert(pos, e);
+            let pos = self.cursor.partition_point(|x| (x.at, x.seq) > key);
+            self.cursor.insert(pos, e);
         } else {
-            bucket.push(e);
+            self.link(idx, e);
         }
         self.occupancy[idx >> 6] |= 1 << (idx & 63);
         self.len += 1;
@@ -230,9 +308,9 @@ impl<E> Wheel<E> {
         promoted
     }
 
-    /// Ensures the earliest pending event sits in a sorted bucket and
-    /// returns its masked index, or `None` if the queue is empty — or, when
-    /// `deadline` is given, if the earliest event is after it.
+    /// Ensures the earliest pending event sits in the sorted cursor and
+    /// returns its bucket's masked index, or `None` if the queue is empty
+    /// — or, when `deadline` is given, if the earliest event is after it.
     ///
     /// `base` is only advanced when `Some` is returned (i.e. when the
     /// caller will pop): a not-due probe must leave the horizon anchored,
@@ -257,13 +335,14 @@ impl<E> Wheel<E> {
         let idx = self.first_occupied().expect("non-empty wheel after promotion");
         let abs = self.abs_of(idx);
         if abs != self.active {
-            // First visit since the bucket last filled: one sort makes
-            // every subsequent pop from it O(1).
-            self.buckets[idx].sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
-            self.active = abs;
+            // First visit since the bucket last filled. A cursor still
+            // holding a later bucket (sorted by a not-due probe) goes
+            // back to its list first.
+            self.spill();
+            self.activate(idx, abs);
         }
         if let Some(d) = deadline {
-            if self.buckets[idx].last().expect("located bucket is non-empty").at > d {
+            if self.cursor.last().expect("located bucket is non-empty").at > d {
                 return None;
             }
         }
@@ -271,11 +350,11 @@ impl<E> Wheel<E> {
         Some(idx)
     }
 
-    /// Removes the minimum entry of the (sorted) bucket at `idx`.
+    /// Removes the minimum entry of the cursor bucket at masked `idx`.
     fn pop_from(&mut self, idx: usize) -> Entry<E> {
-        let e = self.buckets[idx].pop().expect("pop from empty bucket");
+        let e = self.cursor.pop().expect("pop from empty bucket");
         self.len -= 1;
-        if self.buckets[idx].is_empty() {
+        if self.cursor.is_empty() {
             self.occupancy[idx >> 6] &= !(1 << (idx & 63));
             self.active = NO_ACTIVE;
         }
@@ -286,22 +365,35 @@ impl<E> Wheel<E> {
     fn peek_time(&self) -> Option<Instant> {
         match self.first_occupied() {
             // Wheel entries are always earlier than overflow entries.
+            Some(idx) if self.abs_of(idx) == self.active => self.cursor.last().map(|e| e.at),
             Some(idx) => {
-                let bucket = &self.buckets[idx];
-                if self.abs_of(idx) == self.active {
-                    bucket.last().map(|e| e.at)
-                } else {
-                    bucket.iter().map(|e| e.at).min()
+                let mut min = None::<Instant>;
+                let mut s = self.heads[idx];
+                while s != NIL {
+                    let cell = &self.slots[s as usize];
+                    let at = cell.entry.as_ref().expect("linked slot holds an entry").at;
+                    min = Some(min.map_or(at, |m| m.min(at)));
+                    s = cell.next;
                 }
+                min
             }
             None => self.overflow.peek().map(|e| e.at),
         }
     }
+
+    /// Moves every pending entry (cursor, slab, overflow) into one heap.
+    fn into_heap(self) -> BinaryHeap<Entry<E>> {
+        let mut heap = self.overflow;
+        heap.extend(self.cursor);
+        heap.extend(self.slots.into_iter().filter_map(|cell| cell.entry));
+        heap
+    }
 }
 
 // One queue lives per world and the wheel is the only variant on the
-// hot path, so the size skew (the inline occupancy bitmap) is fine —
-// boxing it would buy nothing but a pointer chase per operation.
+// hot path, so the size skew (the inline bucket heads and occupancy
+// bitmap) is fine — boxing it would buy nothing but a pointer chase per
+// operation.
 #[allow(clippy::large_enum_variant)]
 enum Backend<E> {
     Wheel(Wheel<E>),
@@ -353,13 +445,11 @@ impl<E> EventQueue<E> {
     /// Lets a fully-built world be re-based onto the oracle backend (the
     /// same pattern as `World::densify_medium`).
     pub fn convert_to_heap_reference(&mut self) {
-        if let Backend::Wheel(wheel) = &mut self.backend {
-            let mut heap = std::mem::take(&mut wheel.overflow);
-            for bucket in &mut wheel.buckets {
-                heap.extend(bucket.drain(..));
-            }
-            self.backend = Backend::Heap(heap);
-        }
+        let backend = std::mem::replace(&mut self.backend, Backend::Heap(BinaryHeap::new()));
+        self.backend = match backend {
+            Backend::Wheel(wheel) => Backend::Heap(wheel.into_heap()),
+            heap => heap,
+        };
     }
 
     /// True if this queue uses the heap-reference backend.
@@ -700,6 +790,67 @@ mod tests {
                 break;
             }
         }
+    }
+
+    /// Pops both queues to exhaustion, asserting identical sequences.
+    fn drain_matches(wheel: &mut EventQueue<usize>, heap: &mut EventQueue<usize>) {
+        loop {
+            let a = wheel.pop();
+            assert_eq!(a, heap.pop());
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn deadline_probe_spills_sorted_bucket_when_earlier_bucket_fills() {
+        // A not-due `pop_before` sorts bucket X into the cursor; an event
+        // then lands in an earlier bucket Y. The cursor must hand X back
+        // to its list before taking Y, or X's entries are lost/misordered.
+        let mut wheel = EventQueue::new();
+        let mut heap = EventQueue::heap_reference();
+        let x = BUCKET_GRANULARITY_NS * 10;
+        let y = BUCKET_GRANULARITY_NS * 3;
+        for (i, t) in [x + 5, x + 1, x + 5, x + 3].into_iter().enumerate() {
+            wheel.schedule_at(Instant::from_nanos(t), i);
+            heap.schedule_at(Instant::from_nanos(t), i);
+        }
+        let probe = Instant::from_nanos(y - 1);
+        assert_eq!(wheel.pop_before(probe), None);
+        assert_eq!(heap.pop_before(probe), None);
+        // Y fills (twice), and X gains an entry while it is not active.
+        for (i, t) in [(10, y + 7), (11, y + 2), (12, x + 1)] {
+            wheel.schedule_at(Instant::from_nanos(t), i);
+            heap.schedule_at(Instant::from_nanos(t), i);
+        }
+        assert_eq!(wheel.pop(), heap.pop());
+        // X gains another entry while Y is under the cursor.
+        wheel.schedule_at(Instant::from_nanos(x), 13);
+        heap.schedule_at(Instant::from_nanos(x), 13);
+        drain_matches(&mut wheel, &mut heap);
+    }
+
+    #[test]
+    fn slab_slots_are_recycled() {
+        let mut q = EventQueue::new();
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for i in 0..8u64 {
+            q.schedule_at(Instant::from_micros(next() % 500), i);
+        }
+        for i in 0..100_000u64 {
+            let (now, _, _) = q.pop().expect("eight pending");
+            q.schedule_at(now + Duration::from_nanos(next() % 400_000), i);
+            assert_eq!(q.len(), 8);
+        }
+        let Backend::Wheel(wheel) = &q.backend else { panic!("wheel backend") };
+        assert!(wheel.slots.len() <= 8, "slab grew to {} slots", wheel.slots.len());
     }
 
     #[test]

@@ -76,6 +76,17 @@ pub struct ConnStats {
     pub dup_acks_received: u64,
 }
 
+/// Copies `buf[range]` out with (at most) two `memcpy`s — one per
+/// contiguous half of the ring — instead of a byte-at-a-time iterator.
+fn copy_out(buf: &VecDeque<u8>, range: core::ops::Range<usize>) -> Vec<u8> {
+    let (head, tail) = buf.as_slices();
+    let split = head.len();
+    let mut out = Vec::with_capacity(range.len());
+    out.extend_from_slice(&head[range.start.min(split)..range.end.min(split)]);
+    out.extend_from_slice(&tail[range.start.max(split) - split..range.end.max(split) - split]);
+    out
+}
+
 /// One TCP connection.
 #[derive(Debug)]
 pub struct Connection {
@@ -260,7 +271,8 @@ impl Connection {
 
     /// Drains everything the receive side has reassembled in order.
     pub fn recv_drain(&mut self) -> Vec<u8> {
-        let out: Vec<u8> = self.rx_buf.drain(..).collect();
+        let out = copy_out(&self.rx_buf, 0..self.rx_buf.len());
+        self.rx_buf.clear();
         out
     }
 
@@ -448,7 +460,7 @@ impl Connection {
                     let len = unsent.min(self.cfg.mss).min(room);
                     if len > 0 {
                         let off = seq::sub(self.snd_nxt, self.snd_una) as usize;
-                        let payload: Vec<u8> = self.tx_buf.iter().skip(off).take(len).copied().collect();
+                        let payload = copy_out(&self.tx_buf, off..off + len);
                         let seq_no = self.snd_nxt;
                         self.snd_nxt = seq::add(self.snd_nxt, len);
                         if self.rtt_probe.is_none() {
@@ -825,5 +837,26 @@ impl Connection {
         self.state = TcpState::TimeWait;
         self.rtx_deadline = None;
         self.time_wait_deadline = Some(now + self.cfg.time_wait);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn copy_out_matches_iterator_across_the_ring_seam() {
+        // Rotate the ring so its contents wrap: head and tail both hold data.
+        let mut buf: VecDeque<u8> = VecDeque::with_capacity(16);
+        buf.extend(0..12u8);
+        buf.drain(..10);
+        buf.extend(12..24u8);
+        assert!(!buf.as_slices().1.is_empty(), "ring must wrap for this test");
+        for start in 0..=buf.len() {
+            for end in start..=buf.len() {
+                let want: Vec<u8> = buf.iter().skip(start).take(end - start).copied().collect();
+                assert_eq!(copy_out(&buf, start..end), want, "{start}..{end}");
+            }
+        }
     }
 }

@@ -180,7 +180,9 @@ impl<'a> ParsedSubframe<'a> {
 /// Returns the recovered subframes. Structural corruption (a length field
 /// escaping the portion) truncates that portion's results.
 pub fn parse_aggregate<'a>(hdr: &PhyHeader, psdu: &'a [u8]) -> Vec<ParsedSubframe<'a>> {
-    parse_aggregate_inner(hdr, psdu, true)
+    let mut out = Vec::new();
+    parse_aggregate_inner(hdr, psdu, true, &mut out);
+    out
 }
 
 /// [`parse_aggregate`] for a PSDU *known to be bit-identical* to what the
@@ -191,18 +193,25 @@ pub fn parse_aggregate<'a>(hdr: &PhyHeader, psdu: &'a [u8]) -> Vec<ParsedSubfram
 /// parse. This is the event loop's fast path: one transmission fanning
 /// out to N clean receivers costs zero CRC passes instead of N.
 ///
+/// The result replaces the contents of `out`, so a caller that parses
+/// every transmission reuses one buffer instead of allocating per call.
+///
 /// Never use this on bytes that may have been damaged in flight.
-pub fn parse_aggregate_trusted<'a>(hdr: &PhyHeader, psdu: &'a [u8]) -> Vec<ParsedSubframe<'a>> {
-    parse_aggregate_inner(hdr, psdu, false)
+pub fn parse_aggregate_trusted<'a>(hdr: &PhyHeader, psdu: &'a [u8], out: &mut Vec<ParsedSubframe<'a>>) {
+    out.clear();
+    parse_aggregate_inner(hdr, psdu, false, out);
 }
 
-fn parse_aggregate_inner<'a>(hdr: &PhyHeader, psdu: &'a [u8], verify: bool) -> Vec<ParsedSubframe<'a>> {
-    let mut out = Vec::new();
+fn parse_aggregate_inner<'a>(
+    hdr: &PhyHeader,
+    psdu: &'a [u8],
+    verify: bool,
+    out: &mut Vec<ParsedSubframe<'a>>,
+) {
     let bl = (hdr.bcast_len as usize).min(psdu.len());
     let ul_end = (bl + hdr.ucast_len as usize).min(psdu.len());
-    parse_portion(&psdu[..bl], 0, Portion::Broadcast, verify, &mut out);
-    parse_portion(&psdu[bl..ul_end], bl, Portion::Unicast, verify, &mut out);
-    out
+    parse_portion(&psdu[..bl], 0, Portion::Broadcast, verify, out);
+    parse_portion(&psdu[bl..ul_end], bl, Portion::Unicast, verify, out);
 }
 
 fn parse_portion<'a>(

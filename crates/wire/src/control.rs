@@ -9,6 +9,8 @@
 //! Control frames travel at the base rate and are *not* padded to the
 //! minimum subframe size (they are standalone PHY frames, not subframes).
 
+use core::ops::{Deref, DerefMut};
+
 use crate::addr::MacAddr;
 use crate::crc::crc32;
 use crate::error::{Result, WireError};
@@ -93,37 +95,27 @@ impl ControlFrame {
         }
     }
 
-    /// Serializes to on-air bytes (including FCS).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.on_air_len());
+    /// Serializes to on-air bytes (including FCS), inline: no heap.
+    pub fn encode(&self) -> ControlBytes {
+        let len = self.on_air_len();
+        let mut buf = [0; BLOCK_ACK_LEN];
+        let fc = match self {
+            ControlFrame::Rts { .. } => FrameType::Rts,
+            ControlFrame::Cts { .. } => FrameType::Cts,
+            ControlFrame::Ack { .. } => FrameType::Ack,
+            ControlFrame::BlockAck { .. } => FrameType::BlockAck,
+        };
+        buf[0..2].copy_from_slice(&fc.to_bits().to_le_bytes());
+        buf[2..4].copy_from_slice(&self.duration_us().to_le_bytes());
+        buf[4..10].copy_from_slice(&self.ra().octets());
         match self {
-            ControlFrame::Rts { duration_us, ra, ta } => {
-                out.extend_from_slice(&FrameType::Rts.to_bits().to_le_bytes());
-                out.extend_from_slice(&duration_us.to_le_bytes());
-                out.extend_from_slice(&ra.octets());
-                out.extend_from_slice(&ta.octets());
-            }
-            ControlFrame::Cts { duration_us, ra } => {
-                out.extend_from_slice(&FrameType::Cts.to_bits().to_le_bytes());
-                out.extend_from_slice(&duration_us.to_le_bytes());
-                out.extend_from_slice(&ra.octets());
-            }
-            ControlFrame::Ack { duration_us, ra } => {
-                out.extend_from_slice(&FrameType::Ack.to_bits().to_le_bytes());
-                out.extend_from_slice(&duration_us.to_le_bytes());
-                out.extend_from_slice(&ra.octets());
-            }
-            ControlFrame::BlockAck { duration_us, ra, bitmap } => {
-                out.extend_from_slice(&FrameType::BlockAck.to_bits().to_le_bytes());
-                out.extend_from_slice(&duration_us.to_le_bytes());
-                out.extend_from_slice(&ra.octets());
-                out.extend_from_slice(&bitmap.to_le_bytes());
-            }
+            ControlFrame::Rts { ta, .. } => buf[10..16].copy_from_slice(&ta.octets()),
+            ControlFrame::BlockAck { bitmap, .. } => buf[10..18].copy_from_slice(&bitmap.to_le_bytes()),
+            ControlFrame::Cts { .. } | ControlFrame::Ack { .. } => {}
         }
-        let fcs = crc32(&out);
-        out.extend_from_slice(&fcs.to_le_bytes());
-        debug_assert_eq!(out.len(), self.on_air_len());
-        out
+        let fcs = crc32(&buf[..len - FCS_TRAILER]);
+        buf[len - FCS_TRAILER..len].copy_from_slice(&fcs.to_le_bytes());
+        ControlBytes { buf, len: len as u8 }
     }
 
     /// Parses a control frame, verifying length and FCS.
@@ -177,6 +169,34 @@ impl ControlFrame {
 
 const FCS_TRAILER: usize = 4;
 
+/// An encoded control frame held inline: the on-air bytes of the
+/// longest control frame (Block ACK) plus the used length. `Copy`, so
+/// RTS/CTS/ACK exchanges never touch the heap; it derefs to the bytes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct ControlBytes {
+    buf: [u8; BLOCK_ACK_LEN],
+    len: u8,
+}
+
+impl Deref for ControlBytes {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.buf[..self.len as usize]
+    }
+}
+
+impl DerefMut for ControlBytes {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.buf[..self.len as usize]
+    }
+}
+
+impl core::fmt::Debug for ControlBytes {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "{:?}", &**self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,15 +210,15 @@ mod tests {
         };
         let cts = ControlFrame::Cts { duration_us: 80, ra: MacAddr::from_node_id(2) };
         let ack = ControlFrame::Ack { duration_us: 0, ra: MacAddr::from_node_id(1) };
-        assert_eq!(rts.to_bytes().len(), 20);
-        assert_eq!(cts.to_bytes().len(), 14);
-        assert_eq!(ack.to_bytes().len(), 14);
+        assert_eq!(rts.encode().len(), 20);
+        assert_eq!(cts.encode().len(), 14);
+        assert_eq!(ack.encode().len(), 14);
     }
 
     #[test]
     fn block_ack_roundtrip() {
         let ba = ControlFrame::BlockAck { duration_us: 0, ra: MacAddr::from_node_id(2), bitmap: 0b1011 };
-        let bytes = ba.to_bytes();
+        let bytes = ba.encode();
         assert_eq!(bytes.len(), BLOCK_ACK_LEN);
         assert_eq!(ControlFrame::parse(&bytes).unwrap(), ba);
     }
@@ -216,21 +236,21 @@ mod tests {
             ControlFrame::BlockAck { duration_us: 0, ra: MacAddr::from_node_id(9), bitmap: u64::MAX },
         ];
         for f in frames {
-            let bytes = f.to_bytes();
+            let bytes = f.encode();
             assert_eq!(ControlFrame::parse(&bytes).unwrap(), f);
         }
     }
 
     #[test]
     fn corrupt_fcs_rejected() {
-        let mut bytes = ControlFrame::Cts { duration_us: 1, ra: MacAddr::from_node_id(1) }.to_bytes();
+        let mut bytes = ControlFrame::Cts { duration_us: 1, ra: MacAddr::from_node_id(1) }.encode();
         bytes[5] ^= 0x10;
         assert_eq!(ControlFrame::parse(&bytes).err(), Some(WireError::Checksum));
     }
 
     #[test]
     fn wrong_length_rejected() {
-        let bytes = ControlFrame::Ack { duration_us: 0, ra: MacAddr::from_node_id(1) }.to_bytes();
+        let bytes = ControlFrame::Ack { duration_us: 0, ra: MacAddr::from_node_id(1) }.encode();
         assert_eq!(ControlFrame::parse(&bytes[..10]).err(), Some(WireError::BadLength));
     }
 

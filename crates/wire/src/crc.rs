@@ -1,15 +1,26 @@
 //! CRC-32 (IEEE 802.3) used as the frame check sequence.
 //!
-//! Table-driven, reflected form, polynomial 0x04C11DB7 — the same CRC used
-//! by Ethernet and 802.11. Implemented here (rather than pulled in) because
-//! the FCS is part of this crate's wire contract and must be stable.
+//! Reflected form, polynomial 0x04C11DB7 — the same CRC used by Ethernet
+//! and 802.11. Implemented here (rather than pulled in) because the FCS
+//! is part of this crate's wire contract and must be stable.
 //!
-//! The bulk path is *slice-by-16*: sixteen derived tables let each loop
-//! iteration fold 16 input bytes with independent lookups, which is
-//! ~5× the byte-at-a-time throughput. Every simulated reception CRCs
-//! each subframe it parses, so this is the single hottest function in
-//! the workspace (see `docs/PERFORMANCE.md`). The produced values are
-//! bit-identical to the classic one-table form (checked in tests).
+//! Two kernels compute the same function:
+//!
+//! * **Carry-less multiply** (x86_64 with PCLMULQDQ, inputs of 64 bytes
+//!   or more): the fold-by-4 scheme of Intel's "Fast CRC Computation
+//!   Using PCLMULQDQ" white paper, as used by zlib, Linux and crc32fast —
+//!   four 128-bit lanes folded 64 bytes per iteration, then a Barrett
+//!   reduction to 32 bits. 8–12× the table kernel on 1.5–5 KiB inputs
+//!   (`benches/wire.rs`).
+//! * **Slice-by-16** (everywhere else): sixteen derived tables fold 16
+//!   input bytes per iteration with independent lookups. It is the
+//!   portable path, the carry-less kernel's tail handler, and the oracle
+//!   the kernel is tested against ([`crc32_portable`]).
+//!
+//! The kernel is picked per call by runtime feature detection; there is
+//! no knob. Every simulated aggregate has its subframes' FCS computed at
+//! assembly, so this is one of the hottest functions in the workspace
+//! (see `docs/PERFORMANCE.md`).
 
 /// Number of slice tables (bytes folded per loop iteration).
 const SLICES: usize = 16;
@@ -46,8 +57,29 @@ const fn build_tables() -> [[u32; 256]; SLICES] {
 
 static TABLES: [[u32; 256]; SLICES] = build_tables();
 
+/// Inputs at least this long take the carry-less-multiply kernel when
+/// the CPU has it (the kernel's first step loads four 16-byte lanes).
+const CLMUL_MIN_LEN: usize = 64;
+
+/// Feeds `data` into the raw CRC register `crc`, choosing the kernel.
 #[inline]
-fn update(mut crc: u32, data: &[u8]) -> u32 {
+// The one `unsafe` in this crate: calling the `#[target_feature]` kernel
+// after runtime detection has proved the feature present.
+#[allow(unsafe_code)]
+fn update(crc: u32, data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= CLMUL_MIN_LEN && std::arch::is_x86_feature_detected!("pclmulqdq") {
+        // SAFETY: `clmul::update` only requires the `pclmulqdq` target
+        // feature (SSE2 is baseline on x86_64), which was just detected
+        // on this CPU; the kernel itself is safe code.
+        return unsafe { clmul::update(crc, data) };
+    }
+    update_portable(crc, data)
+}
+
+/// Slice-by-16 over the raw CRC register: the portable kernel.
+#[inline]
+fn update_portable(mut crc: u32, data: &[u8]) -> u32 {
     let mut chunks = data.chunks_exact(SLICES);
     for chunk in &mut chunks {
         // Fold the current state into the first four bytes, then look
@@ -72,6 +104,98 @@ fn update(mut crc: u32, data: &[u8]) -> u32 {
 /// Computes the CRC-32 of `data` (init 0xFFFFFFFF, final xor 0xFFFFFFFF).
 pub fn crc32(data: &[u8]) -> u32 {
     update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
+}
+
+/// [`crc32`] forced onto the portable slice-by-16 kernel — the oracle
+/// the carry-less kernel is tested against, and the baseline the
+/// micro-benchmarks time it beside.
+pub fn crc32_portable(data: &[u8]) -> u32 {
+    update_portable(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
+}
+
+/// The PCLMULQDQ fold-by-4 kernel.
+///
+/// Constants are `x^k mod P(x)` in the bit-reflected domain for the fold
+/// distances (512 ± 32 bits for the 4-lane loop, 128 ± 32 for the
+/// single-lane fold), followed by the 64→32-bit Barrett constants `P(x)`
+/// and `µ = ⌊x^64 / P(x)⌋` — the values published with the white paper
+/// and shared by zlib and Linux.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si32, _mm_cvtsi32_si128, _mm_set_epi32,
+        _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    const K5: i64 = 0x1_63cd_6124;
+    const P_X: i64 = 0x1_db71_0641;
+    const U_PRIME: i64 = 0x1_f701_1641;
+
+    /// Loads the next 16 bytes as one lane and advances `data`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn load(data: &mut &[u8]) -> __m128i {
+        let (lane, rest) = data.split_at(16);
+        *data = rest;
+        let lo = u64::from_le_bytes(lane[..8].try_into().expect("8 bytes"));
+        let hi = u64::from_le_bytes(lane[8..].try_into().expect("8 bytes"));
+        _mm_set_epi64x(hi as i64, lo as i64)
+    }
+
+    /// Folds lane `a` forward by the distance `keys` encodes onto `b`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold(a: __m128i, b: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(a, keys);
+        let hi = _mm_clmulepi64_si128::<0x11>(a, keys);
+        _mm_xor_si128(_mm_xor_si128(b, lo), hi)
+    }
+
+    /// Feeds `data` (at least [`super::CLMUL_MIN_LEN`] bytes) into the
+    /// raw CRC register `crc`. Whole 16-byte lanes are folded here; the
+    /// remaining 0–15 bytes go through the slice-by-16 kernel.
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) fn update(crc: u32, mut data: &[u8]) -> u32 {
+        debug_assert!(data.len() >= super::CLMUL_MIN_LEN);
+        let mut x3 = load(&mut data);
+        let mut x2 = load(&mut data);
+        let mut x1 = load(&mut data);
+        let mut x0 = load(&mut data);
+        x3 = _mm_xor_si128(x3, _mm_cvtsi32_si128(crc as i32));
+
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        while data.len() >= 64 {
+            x3 = fold(x3, load(&mut data), k1k2);
+            x2 = fold(x2, load(&mut data), k1k2);
+            x1 = fold(x1, load(&mut data), k1k2);
+            x0 = fold(x0, load(&mut data), k1k2);
+        }
+
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold(x3, x2, k3k4);
+        x = fold(x, x1, k3k4);
+        x = fold(x, x0, k3k4);
+        while data.len() >= 16 {
+            x = fold(x, load(&mut data), k3k4);
+        }
+
+        // 128 → 64 bits, then 64 → 32 by Barrett reduction (reflected).
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        let x = _mm_xor_si128(_mm_clmulepi64_si128::<0x10>(x, k3k4), _mm_srli_si128::<8>(x));
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5)),
+            _mm_srli_si128::<4>(x),
+        );
+        let pu = _mm_set_epi64x(U_PRIME, P_X);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), pu);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), pu);
+        let c = _mm_cvtsi128_si32(_mm_srli_si128::<4>(_mm_xor_si128(x, t2))) as u32;
+        super::update_portable(c, data)
+    }
 }
 
 /// Incremental CRC-32 for multi-slice frames.
@@ -136,6 +260,43 @@ mod tests {
                 assert_ne!(crc32(&corrupted), good, "flip at {byte}:{bit} undetected");
                 corrupted[byte] ^= 1 << bit;
             }
+        }
+    }
+
+    /// Offset-shifted copies of a deterministic byte pattern, so the
+    /// kernel is fed both aligned and unaligned slices.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i as u32).wrapping_mul(2_654_435_761).rotate_left(7) as u8).collect()
+    }
+
+    #[test]
+    fn kernel_matches_slice_by_16() {
+        let buf = pattern(5120 + 16);
+        for state in [0xFFFF_FFFF, 0, 0x1234_5678] {
+            for offset in [0usize, 1, 3, 7, 15] {
+                let lens = (0..=600).chain([1464, 4096, 5120]);
+                for len in lens {
+                    let data = &buf[offset..offset + len];
+                    assert_eq!(
+                        update(state, data),
+                        update_portable(state, data),
+                        "len {len} offset {offset} state {state:#x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_split_across_kernel_threshold_matches_oneshot() {
+        let data = pattern(3 * CLMUL_MIN_LEN + 9);
+        let want = crc32(&data);
+        assert_eq!(want, crc32_portable(&data));
+        for split in 0..=data.len() {
+            let mut inc = Crc32::new();
+            inc.update(&data[..split]);
+            inc.update(&data[split..]);
+            assert_eq!(inc.finish(), want, "split at {split}");
         }
     }
 

@@ -66,6 +66,18 @@ impl Payload {
         Payload { bytes: self.bytes.clone(), start: self.start + range.start, len: range.end - range.start }
     }
 
+    /// The zero-copy sub-view covering `sub`, a slice borrowed from this
+    /// payload (e.g. the remainder a header parser returned), so parsers
+    /// can work on `&[u8]` and still hand their result up without a copy.
+    ///
+    /// # Panics
+    /// Panics if `sub` does not lie within this payload.
+    pub fn slice_ref(&self, sub: &[u8]) -> Payload {
+        let start = (sub.as_ptr() as usize).wrapping_sub(self.as_slice().as_ptr() as usize);
+        assert!(start <= self.len && sub.len() <= self.len - start, "slice_ref: not a sub-slice");
+        self.slice(start..start + sub.len())
+    }
+
     /// Copies the bytes out into a fresh `Vec` (the mutation escape
     /// hatch for copy-on-corrupt).
     pub fn to_vec(&self) -> Vec<u8> {
@@ -162,6 +174,22 @@ mod tests {
         let ss = s.slice(1..3);
         assert_eq!(ss, [3u8, 4]);
         assert!(core::ptr::eq(ss.as_slice().as_ptr(), &p.as_slice()[3]));
+    }
+
+    #[test]
+    fn slice_ref_maps_borrowed_sub_slices_back() {
+        let p = Payload::from(vec![0u8, 1, 2, 3, 4, 5]).slice(1..6);
+        let s = p.slice_ref(&p[2..4]);
+        assert_eq!(s, [3u8, 4]);
+        assert!(core::ptr::eq(s.as_slice().as_ptr(), &p.as_slice()[2]));
+        assert!(p.slice_ref(&p[5..]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "not a sub-slice")]
+    fn slice_ref_rejects_foreign_slices() {
+        let p = Payload::from(vec![1u8, 2]);
+        let _ = p.slice_ref(&[1u8, 2][..]);
     }
 
     #[test]

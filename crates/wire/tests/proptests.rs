@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use hydra_wire::aggregate::{parse_aggregate, AggregateBuilder, Portion};
 use hydra_wire::builder::{build_tcp_packet, build_udp_packet, is_pure_tcp_ack, parse_mpdu_payload, L4};
 use hydra_wire::control::ControlFrame;
-use hydra_wire::crc::crc32;
+use hydra_wire::crc::{crc32, crc32_portable, Crc32};
 use hydra_wire::encap::{EncapProto, EncapRepr};
 use hydra_wire::phy_hdr::{PhyHeader, RateCode};
 use hydra_wire::subframe::{FrameType, Subframe, SubframeRepr};
@@ -78,6 +78,21 @@ proptest! {
     }
 
     #[test]
+    fn crc32_kernel_matches_portable(data in proptest::collection::vec(any::<u8>(), 0..2000),
+                                     offset_frac in 0.0f64..1.0, split_frac in 0.0f64..1.0) {
+        // An offset start exercises unaligned lane loads; a split point
+        // exercises the incremental path on both sides of the threshold.
+        let data = &data[((data.len() as f64 * offset_frac) as usize).min(data.len())..];
+        let want = crc32_portable(data);
+        prop_assert_eq!(crc32(data), want);
+        let split = ((data.len() as f64 * split_frac) as usize).min(data.len());
+        let mut inc = Crc32::new();
+        inc.update(&data[..split]);
+        inc.update(&data[split..]);
+        prop_assert_eq!(inc.finish(), want);
+    }
+
+    #[test]
     fn phy_header_roundtrip(b_rate in 0u8..8, u_rate in 0u8..8, b_len in any::<u16>(), u_len in any::<u16>()) {
         let h = PhyHeader { bcast_rate: RateCode(b_rate), ucast_rate: RateCode(u_rate), bcast_len: b_len, ucast_len: u_len };
         prop_assert_eq!(PhyHeader::parse(&h.to_bytes()).unwrap(), h);
@@ -95,7 +110,7 @@ proptest! {
             1 => ControlFrame::Cts { duration_us: dur, ra },
             _ => ControlFrame::Ack { duration_us: dur, ra },
         };
-        prop_assert_eq!(ControlFrame::parse(&f.to_bytes()).unwrap(), f);
+        prop_assert_eq!(ControlFrame::parse(&f.encode()).unwrap(), f);
     }
 
     #[test]
