@@ -8,13 +8,13 @@
 use hydra_bench::microbench::Criterion;
 use hydra_bench::{criterion_group, criterion_main};
 
-use hydra_netsim::{Policy, TcpScenario, TopologyKind, UdpScenario};
+use hydra_netsim::{Flooding, Policy, ScenarioSpec, TopologyKind, Traffic};
 use hydra_phy::Rate;
 use hydra_sim::{Duration, EventQueue, Instant};
 
 fn small_tcp(topo: TopologyKind, policy: Policy, rate: Rate) -> f64 {
-    let mut s = TcpScenario::new(topo, policy, rate);
-    s.file_bytes = 20 * 1024;
+    let mut s = ScenarioSpec::tcp(topo, policy, rate);
+    s.traffic = Traffic::FileTransfer { bytes: 20 * 1024 };
     s.run().throughput_bps
 }
 
@@ -37,10 +37,15 @@ fn bench_event_queue(c: &mut Criterion) {
 fn bench_table2_family(c: &mut Criterion) {
     c.bench_function("table2_udp_2hop_na_short", |b| {
         b.iter(|| {
-            let mut s = UdpScenario::new(2, Policy::Na, Rate::R1_30, Duration::from_millis(17));
+            let mut s = ScenarioSpec::udp(
+                TopologyKind::Linear(2),
+                Policy::Na,
+                Rate::R1_30,
+                Duration::from_millis(17),
+            );
             s.warmup = Duration::from_millis(500);
-            s.measure = Duration::from_secs(2);
-            s.run().goodput_bps
+            s.duration = Duration::from_secs(2);
+            s.run().throughput_bps
         })
     });
 }
@@ -75,11 +80,16 @@ fn bench_fig13_family(c: &mut Criterion) {
 fn bench_fig9_family(c: &mut Criterion) {
     c.bench_function("fig9_udp_flooding_short", |b| {
         b.iter(|| {
-            let mut s = UdpScenario::new(2, Policy::Ba, Rate::R1_30, Duration::from_millis(17))
-                .with_flooding(Duration::from_millis(100));
+            let mut s = ScenarioSpec::udp(
+                TopologyKind::Linear(2),
+                Policy::Ba,
+                Rate::R1_30,
+                Duration::from_millis(17),
+            );
+            s.flooding = Some(Flooding { interval: Duration::from_millis(100), payload: 120 });
             s.warmup = Duration::from_millis(500);
-            s.measure = Duration::from_secs(2);
-            s.run().goodput_bps
+            s.duration = Duration::from_secs(2);
+            s.run().throughput_bps
         })
     });
 }

@@ -11,8 +11,9 @@
 //! every cell to simulate. Cache hit/miss counts go to stderr so stdout
 //! (and the results file) stay comparable between cold and warm runs.
 use std::io::Write;
+use std::sync::Arc;
 
-use hydra_bench::ResultCache;
+use hydra_bench::ConcurrentCache;
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -43,10 +44,10 @@ fn main() {
     if use_cache {
         // A damaged or unopenable cache degrades to cache-less — it
         // must never keep the grid from running.
-        match ResultCache::open_default() {
+        match ConcurrentCache::open_default() {
             Ok(cache) => {
                 eprintln!("result cache: {} runs on disk", cache.len());
-                opts.cache = Some(cache.shared());
+                opts.cache = Some(Arc::new(cache));
             }
             Err(e) => eprintln!("warning: result cache unavailable ({e}); simulating everything"),
         }
@@ -58,18 +59,7 @@ fn main() {
     f.write_all(text.as_bytes()).unwrap_or_else(|e| die(&format!("write results/experiments.txt: {e}")));
     eprintln!("wrote results/experiments.txt");
     if let Some(cache) = &opts.cache {
-        let stats = cache.stats();
-        eprintln!(
-            "result cache: {} hits, {} misses ({} runs simulated){}",
-            stats.hits,
-            stats.misses,
-            stats.misses,
-            if stats.quarantined > 0 {
-                format!(", {} corrupt record(s) quarantined", stats.quarantined)
-            } else {
-                String::new()
-            }
-        );
+        eprintln!("result cache: {}", cache.stats());
     }
     let failures = opts.failure_count();
     if failures > 0 {

@@ -35,6 +35,7 @@
 
 use hydra_bench::{ExperimentRunner, Table};
 use hydra_core::AckPolicy;
+use hydra_netsim::scn::{policy_from_text, prob_from_text, rate_from_text, topo_from_text};
 use hydra_netsim::{
     Flooding, FlowSpec, FlowTraffic, LinkErrorSpec, MediumKind, Policy, ScenarioSpec, TopologyKind, Traffic,
 };
@@ -77,41 +78,6 @@ struct Args {
     dump_links: bool,
     /// Background flow traffic tokens (`--mix`, repeatable).
     mix: Vec<String>,
-}
-
-fn parse_rate(s: &str) -> Rate {
-    match s {
-        "0.65" => Rate::R0_65,
-        "1.3" | "1.30" => Rate::R1_30,
-        "1.95" => Rate::R1_95,
-        "2.6" | "2.60" => Rate::R2_60,
-        "3.9" | "3.90" => Rate::R3_90,
-        "5.2" | "5.20" => Rate::R5_20,
-        "5.85" => Rate::R5_85,
-        "6.5" | "6.50" => Rate::R6_50,
-        _ => die(&format!("unknown rate {s}")),
-    }
-}
-
-fn parse_policy(s: &str) -> Policy {
-    match s {
-        "na" => Policy::Na,
-        "ua" => Policy::Ua,
-        "ba" => Policy::Ba,
-        "dba" => Policy::Dba,
-        "ba-nofwd" => Policy::BaNoForward,
-        _ => die(&format!("unknown policy {s}")),
-    }
-}
-
-fn parse_grid(s: &str) -> TopologyKind {
-    let (w, h) = s.split_once('x').unwrap_or_else(|| die("expected --grid WxH"));
-    let w: usize = w.parse().unwrap_or_else(|_| die("bad grid width"));
-    let h: usize = h.parse().unwrap_or_else(|_| die("bad grid height"));
-    if w == 0 || h == 0 || w * h < 2 {
-        die(&format!("--grid {w}x{h} has fewer than 2 nodes"));
-    }
-    TopologyKind::Grid { w, h }
 }
 
 const HELP: &str = "\
@@ -179,15 +145,15 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_prob(s: &str, flag: &str) -> f64 {
-    let p: f64 = s.parse().unwrap_or_else(|_| die(&format!("bad {flag} value `{s}`")));
-    if !(0.0..=1.0).contains(&p) {
-        die(&format!("{flag} probability `{s}` is outside 0..=1"));
-    }
-    p
+/// Parses a plain numeric flag value.
+fn num<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("bad {flag}"))
 }
 
-fn parse() -> Args {
+/// Parses the command line (without the program name). Topology, rate,
+/// policy and probability values go through the `.scn` grammar's own
+/// token parsers, so the bin accepts exactly what `--bin sweep` does.
+fn parse(argv: &[String]) -> Result<Args, String> {
     let mut a = Args {
         tcp: true,
         topo: TopologyKind::Linear(2),
@@ -215,73 +181,66 @@ fn parse() -> Args {
         dump_links: false,
         mix: Vec::new(),
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let val = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i).cloned().unwrap_or_else(|| die("missing value"))
-        };
-        match argv[i].as_str() {
+    let mut args = argv.iter();
+    while let Some(flag) = args.next() {
+        let mut val = || args.next().map(String::as_str).ok_or("missing value");
+        // Prefixes a `.scn` token error with the flag that carried it.
+        let scn = |e: String| format!("{flag}: {e}");
+        match flag.as_str() {
             "tcp" => a.tcp = true,
             "udp" => a.tcp = false,
-            "--hops" => {
-                a.topo = TopologyKind::Linear(val(&mut i).parse().unwrap_or_else(|_| die("bad --hops")))
-            }
+            "--hops" => a.topo = topo_from_text(&format!("linear:{}", val()?)).map_err(scn)?,
             "--star" => a.topo = TopologyKind::Star,
-            "--grid" => a.topo = parse_grid(&val(&mut i)),
+            "--grid" => a.topo = topo_from_text(&format!("grid:{}", val()?)).map_err(scn)?,
             "--cross" => a.topo = TopologyKind::Cross,
             "--mesh" => {
-                let n: usize = val(&mut i).parse().unwrap_or_else(|_| die("bad --mesh"));
+                let n = num(val()?, flag)?;
                 if n < 2 {
-                    die("--mesh needs at least 2 nodes");
+                    return Err("--mesh needs at least 2 nodes".into());
                 }
                 a.mesh = Some(n);
             }
             "--area" => {
-                let m: u32 = val(&mut i).parse().unwrap_or_else(|_| die("bad --area"));
+                let m = num(val()?, flag)?;
                 if m == 0 {
-                    die("--area must be at least 1 m");
+                    return Err("--area must be at least 1 m".into());
                 }
                 a.area = Some(m);
             }
-            "--mesh-seed" => a.mesh_seed = val(&mut i).parse().unwrap_or_else(|_| die("bad --mesh-seed")),
-            "--policy" => a.policy = parse_policy(&val(&mut i)),
-            "--rate" => a.rate = parse_rate(&val(&mut i)),
-            "--bcast-rate" => a.bcast_rate = Some(parse_rate(&val(&mut i))),
-            "--seeds" => a.seeds = val(&mut i).parse().unwrap_or_else(|_| die("bad --seeds")),
-            "--threads" => a.threads = val(&mut i).parse().unwrap_or_else(|_| die("bad --threads")),
-            "--file-kb" => a.file_kb = val(&mut i).parse().unwrap_or_else(|_| die("bad --file-kb")),
-            "--interval-ms" => {
-                a.interval_ms = val(&mut i).parse().unwrap_or_else(|_| die("bad --interval-ms"))
-            }
-            "--flood-ms" => a.flood_ms = Some(val(&mut i).parse().unwrap_or_else(|_| die("bad --flood-ms"))),
-            "--mix" => a.mix.push(val(&mut i)),
-            "--max-agg-kb" => a.max_agg_kb = val(&mut i).parse().unwrap_or_else(|_| die("bad --max-agg-kb")),
+            "--mesh-seed" => a.mesh_seed = num(val()?, flag)?,
+            "--policy" => a.policy = policy_from_text(val()?).map_err(scn)?,
+            "--rate" => a.rate = rate_from_text(val()?).map_err(scn)?,
+            "--bcast-rate" => a.bcast_rate = Some(rate_from_text(val()?).map_err(scn)?),
+            "--seeds" => a.seeds = num(val()?, flag)?,
+            "--threads" => a.threads = num(val()?, flag)?,
+            "--file-kb" => a.file_kb = num(val()?, flag)?,
+            "--interval-ms" => a.interval_ms = num(val()?, flag)?,
+            "--flood-ms" => a.flood_ms = Some(num(val()?, flag)?),
+            "--mix" => a.mix.push(val()?.to_string()),
+            "--max-agg-kb" => a.max_agg_kb = num(val()?, flag)?,
             "--block-ack" => a.block_ack = true,
             "--no-rts" => a.rts = false,
-            "--drop" => a.drop = val(&mut i).parse().unwrap_or_else(|_| die("bad --drop")),
-            "--corrupt" => a.corrupt = val(&mut i).parse().unwrap_or_else(|_| die("bad --corrupt")),
-            "--ber" => a.ber = Some(parse_prob(&val(&mut i), "--ber")),
+            "--drop" => a.drop = prob_from_text(val()?).map_err(scn)?,
+            "--corrupt" => a.corrupt = prob_from_text(val()?).map_err(scn)?,
+            "--ber" => a.ber = Some(prob_from_text(val()?).map_err(scn)?),
             "--burst" => {
-                let v = val(&mut i);
-                let (gb, bg) = v.split_once(':').unwrap_or_else(|| die("expected --burst P_GB:P_BG"));
-                let p_gb = parse_prob(gb, "--burst");
-                let p_bg = parse_prob(bg, "--burst");
+                let (gb, bg) = val()?.split_once(':').ok_or("expected --burst P_GB:P_BG")?;
+                let p_gb = prob_from_text(gb).map_err(scn)?;
+                let p_bg = prob_from_text(bg).map_err(scn)?;
                 if p_gb <= 0.0 || p_bg <= 0.0 {
-                    die("--burst transition probabilities must be positive");
+                    return Err("--burst transition probabilities must be positive".into());
                 }
                 a.burst = Some((p_gb, p_bg));
             }
-            "--dup" => a.dup = parse_prob(&val(&mut i), "--dup"),
-            "--reorder" => a.reorder = parse_prob(&val(&mut i), "--reorder"),
+            "--dup" => a.dup = prob_from_text(val()?).map_err(scn)?,
+            "--reorder" => a.reorder = prob_from_text(val()?).map_err(scn)?,
             "--spatial" => {
                 a.spacing.get_or_insert(2.5);
             }
             "--spacing" => {
-                let s: f64 = val(&mut i).parse().unwrap_or_else(|_| die("bad --spacing"));
+                let s: f64 = num(val()?, flag)?;
                 if !s.is_finite() || s <= 0.0 {
-                    die("--spacing must be a positive finite number of metres");
+                    return Err("--spacing must be a positive finite number of metres".into());
                 }
                 a.spacing = Some(s);
             }
@@ -290,9 +249,8 @@ fn parse() -> Args {
                 print!("{HELP}");
                 std::process::exit(0);
             }
-            other => die(&format!("unknown argument {other}")),
+            other => return Err(format!("unknown argument {other}")),
         }
-        i += 1;
     }
     if let Some(nodes) = a.mesh {
         // Default area: side ∝ √N keeps node density constant — a 7.9 m
@@ -302,12 +260,12 @@ fn parse() -> Args {
         // The mesh is authored in metres: unit spacing unless overridden.
         a.spacing.get_or_insert(1.0);
     } else if a.area.is_some() {
-        die("--area requires --mesh");
+        return Err("--area requires --mesh".into());
     }
-    a
+    Ok(a)
 }
 
-fn spec_from(a: &Args) -> ScenarioSpec {
+fn spec_from(a: &Args) -> Result<ScenarioSpec, String> {
     let mut spec = if a.tcp {
         let mut s = ScenarioSpec::tcp(a.topo, a.policy, a.rate);
         s.traffic = Traffic::FileTransfer { bytes: a.file_kb * 1024 };
@@ -327,7 +285,7 @@ fn spec_from(a: &Args) -> ScenarioSpec {
         (None, None) => None,
         (Some(ber), None) => Some(LinkErrorModel::Independent { ber }),
         (Some(mean), Some((p_gb, p_bg))) => Some(LinkErrorModel::bursty_with_mean(mean, p_gb, p_bg)),
-        (None, Some(_)) => die("--burst needs --ber (the mean loss the burst shape preserves)"),
+        (None, Some(_)) => return Err("--burst needs --ber (the mean loss the burst shape preserves)".into()),
     };
     if model.is_some() || a.dup > 0.0 || a.reorder > 0.0 {
         spec.link_error = Some(LinkErrorSpec { model, dup: a.dup, reorder: a.reorder });
@@ -340,11 +298,11 @@ fn spec_from(a: &Args) -> ScenarioSpec {
         spec.medium = MediumKind::Spatial { spacing_m };
     }
     if !a.mix.is_empty() {
-        let mixes: Vec<FlowTraffic> = a
+        let mixes = a
             .mix
             .iter()
-            .map(|tok| FlowTraffic::from_token(tok).unwrap_or_else(|e| die(&format!("--mix: {e}"))))
-            .collect();
+            .map(|tok| FlowTraffic::from_token(tok).map_err(|e| format!("--mix: {e}")))
+            .collect::<Result<Vec<_>, _>>()?;
         // A mixed run executes to the horizon `warmup + duration`; give
         // a file-transfer foreground a sane window instead of the pure
         // TCP 300 s deadline.
@@ -364,7 +322,7 @@ fn spec_from(a: &Args) -> ScenarioSpec {
             });
         }
     }
-    spec
+    Ok(spec)
 }
 
 /// Prints the medium's per-pair connectivity classes and SNR matrix:
@@ -430,8 +388,9 @@ fn dump_links(spec: &ScenarioSpec) {
 }
 
 fn main() {
-    let a = parse();
-    let spec = spec_from(&a);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let a = parse(&argv).unwrap_or_else(|e| die(&e));
+    let spec = spec_from(&a).unwrap_or_else(|e| die(&e));
     // The canonical .scn line: paste into a file and run it (with
     // others) via `--bin sweep`. Format: docs/SCENARIO_FORMAT.md.
     println!("scn: {}\n", spec.to_scn());
@@ -506,5 +465,68 @@ fn main() {
     if cell.failed() {
         eprintln!("{} replication(s) FAILED", cell.runs.iter().filter(|r| r.is_err()).count());
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hydra_netsim::parse_scn;
+
+    fn spec_of(line: &str) -> Result<ScenarioSpec, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        spec_from(&parse(&argv)?)
+    }
+
+    #[test]
+    fn values_the_scn_grammar_rejects_are_rejected() {
+        for (line, needle) in [
+            ("--hops 0", "--hops: linear topology needs at least 1 hop"),
+            ("--drop 2", "--drop: probability `2` is outside 0..=1"),
+            ("--corrupt -0.1", "--corrupt: probability"),
+            ("--grid 1x1", "--grid: grid 1x1 has fewer than 2 nodes"),
+            ("--rate 3", "--rate: unknown rate `3`"),
+            ("--policy xa", "--policy: unknown policy `xa`"),
+            ("--ber 0.1 --burst 0.1:nan", "--burst: `nan` is not finite"),
+            ("--dup", "missing value"),
+            ("--burst 0.1:0.2", "--burst needs --ber"),
+        ] {
+            let err = spec_of(line).expect_err(line);
+            assert!(err.contains(needle), "`{line}`: {err}");
+        }
+    }
+
+    #[test]
+    fn valid_flag_sets_echo_a_line_that_parses_back_to_the_same_spec() {
+        for (line, scn) in [
+            (
+                "udp --hops 3 --spatial --spacing 7 --rate 0.65 --seeds 1 --dump-links",
+                "topo=linear:3 policy=ba rate=0.65 traffic=cbr:17ms:1045 medium=spatial:7.0",
+            ),
+            (
+                "tcp --hops 2 --policy ba --mix cbr:20ms:160 --seeds 1",
+                "topo=linear:2 policy=ba rate=1.3 traffic=file:204800 flow=0>2:5001:tcp:204800 \
+                 flow=0>2:9900:cbr:20ms:160 warmup=1s duration=20s",
+            ),
+            (
+                "tcp --file-kb 20 --seeds 1 --ber 0.05 --burst 0.05:0.45 --dup 0.02 --reorder 0.02",
+                "topo=linear:2 policy=ba rate=1.3 traffic=file:20480 \
+                 link_error=ge:0.05:0.45:0.0:0.5,dup:0.02,reorder:0.02",
+            ),
+            ("tcp --grid 3x2 --policy ba --rate 2.6 --seeds 1", "topo=grid:3x2 policy=ba rate=2.6 traffic=file:204800"),
+            (
+                "udp --cross --drop 0.05 --corrupt 0.01 --block-ack --no-rts --bcast-rate 0.65 --flood-ms 100",
+                "topo=cross policy=ba rate=1.3 traffic=cbr:17ms:1045 bcast=0.65 ack=block rts=off \
+                 fault=0.05:0.01 flood=100ms:120",
+            ),
+            (
+                "tcp --mesh 30 --seeds 1 --policy dba --max-agg-kb 8",
+                "topo=mesh:30:32:1 policy=dba rate=1.3 traffic=file:204800 medium=spatial:1.0 max_agg=8192",
+            ),
+        ] {
+            let spec = spec_of(line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
+            assert_eq!(spec.to_scn(), scn, "`{line}`");
+            assert_eq!(parse_scn(&spec.to_scn()).unwrap(), vec![spec], "`{line}`");
+        }
     }
 }

@@ -16,8 +16,10 @@
 //! simulates nothing and prints byte-identical tables. Cache statistics
 //! go to stderr so stdout stays comparable across runs.
 
+use std::sync::Arc;
+
 use hydra_bench::experiments::{shipped_sweep_meta, shipped_sweeps};
-use hydra_bench::{ExperimentRunner, ResultCache, Table};
+use hydra_bench::{ConcurrentCache, ExperimentRunner, Table};
 use hydra_netsim::{parse_scn_file, render_scn};
 
 struct Args {
@@ -154,12 +156,12 @@ fn main() {
     let mut runner = ExperimentRunner::new(a.threads);
     let cache = if a.use_cache {
         let cache = match &a.cache_dir {
-            Some(dir) => ResultCache::open(dir),
-            None => ResultCache::open_default(),
+            Some(dir) => ConcurrentCache::open(dir),
+            None => ConcurrentCache::open_default(),
         }
         .unwrap_or_else(|e| die(&format!("open result cache: {e}")));
         eprintln!("result cache: {} runs on disk", cache.len());
-        let shared = cache.shared();
+        let shared = Arc::new(cache);
         runner = runner.with_cache(shared.clone());
         Some(shared)
     } else {
@@ -169,18 +171,7 @@ fn main() {
         run_file(&runner, file, a.seeds);
     }
     if let Some(cache) = cache {
-        let stats = cache.stats();
-        eprintln!(
-            "result cache: {} hits, {} misses ({} runs simulated){}",
-            stats.hits,
-            stats.misses,
-            stats.misses,
-            if stats.quarantined > 0 {
-                format!(", {} corrupt record(s) quarantined", stats.quarantined)
-            } else {
-                String::new()
-            }
-        );
+        eprintln!("result cache: {}", cache.stats());
     }
     let failures = runner.failure_count();
     if failures > 0 {

@@ -9,6 +9,8 @@
 //! crossovers fall — are the claims being reproduced (see
 //! EXPERIMENTS.md for per-experiment commentary).
 
+use std::sync::Arc;
+
 use hydra_core::{AckPolicy, AggSizing};
 use hydra_netsim::{
     Flooding, FlowSpec, FlowTraffic, MediumKind, Policy, ScenarioSpec, SweepMeta, TopologyKind,
@@ -50,8 +52,8 @@ impl Opts {
     /// [`Opts::default`], which never touches the disk.
     pub fn cli() -> Self {
         let mut opts = Opts::default();
-        match crate::sweeps::ResultCache::open_default() {
-            Ok(cache) => opts.cache = Some(cache.shared()),
+        match crate::sweeps::ConcurrentCache::open_default() {
+            Ok(cache) => opts.cache = Some(Arc::new(cache)),
             Err(e) => eprintln!("warning: result cache unavailable ({e}); simulating everything"),
         }
         opts

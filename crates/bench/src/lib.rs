@@ -10,7 +10,7 @@
 //!
 //! Sweeps are also *data*: every shipped grid is exported as a `.scn`
 //! file under `examples/sweeps/` (run them with `--bin sweep`), and
-//! [`sweeps::ResultCache`] persists every outcome keyed by
+//! [`sweeps::ConcurrentCache`] persists every outcome keyed by
 //! `(stable_hash, replication)` so warm reruns of `--bin all` /
 //! `--bin sweep` simulate nothing and rebuild byte-identical tables.
 //!
@@ -30,4 +30,4 @@ pub mod sweeps;
 
 pub use report::Table;
 pub use runner::{CellResult, ExperimentRunner};
-pub use sweeps::{CacheIndex, CacheStats, ConcurrentCache, ResultCache, SharedCache, CACHE_SCHEMA};
+pub use sweeps::{CacheIndex, CacheStats, ConcurrentCache, SharedCache, CACHE_SCHEMA};

@@ -39,8 +39,7 @@
 //! sequential output — while specs differing only in `seed` replicate
 //! as independent cells. Note the derived world seed intentionally
 //! differs from calling [`ScenarioSpec::run`] directly, which uses the
-//! `seed` field verbatim for compatibility with the paper-era
-//! `TcpScenario`/`UdpScenario` front-ends.
+//! `seed` field unchanged.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -130,7 +129,7 @@ impl CellResult {
 }
 
 /// Executes sweeps of [`ScenarioSpec`]s across OS threads, optionally
-/// consulting a persistent [`crate::sweeps::ResultCache`] before
+/// consulting a persistent [`crate::sweeps::ConcurrentCache`] before
 /// dispatching any run and appending every fresh outcome to it.
 #[derive(Debug, Clone)]
 pub struct ExperimentRunner {

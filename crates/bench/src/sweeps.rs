@@ -29,7 +29,7 @@
 //! Every line carries a CRC-32 trailer (`{json}#crc:xxxxxxxx`, the
 //! same polynomial the wire format uses) over the JSON bytes. A torn
 //! append — power loss, `kill -9`, a full disk — leaves a record whose
-//! trailer is missing or wrong; [`ResultCache::open`] quarantines such
+//! trailer is missing or wrong; [`ConcurrentCache::open`] quarantines such
 //! lines to `runs.corrupt.jsonl`, compacts the live file, and the
 //! affected keys simply degrade to cold (they re-simulate and re-append
 //! on the next sweep). A corrupt cache never aborts a run and never
@@ -38,7 +38,7 @@
 //! ## Concurrency
 //!
 //! Sweeps share the cache across worker threads (and across processes,
-//! via `O_APPEND`). [`ConcurrentCache`] is the shared form: lookups go
+//! via `O_APPEND`). [`ConcurrentCache`] is shared as a [`SharedCache`]: lookups go
 //! through an immutable snapshot ([`CacheIndex`], an `Arc` republished
 //! under a read-mostly lock — workers never hold a mutex across a
 //! lookup), and fresh outcomes land via
@@ -92,126 +92,17 @@ pub struct CacheStats {
     pub quarantined: u64,
 }
 
-/// A persistent `(stable_hash, replication) → RunOutcome` store backed
-/// by an append-only JSON-lines file.
-#[derive(Debug)]
-pub struct ResultCache {
-    path: PathBuf,
-    entries: HashMap<(u64, u64), RunOutcome>,
-    /// Optional per-spec event counts (`stable_hash → events_processed`)
-    /// recorded alongside outcomes. Pure *scheduling* telemetry: the
-    /// runner uses them to order jobs longest-first; they never enter a
-    /// decoded outcome and never affect results.
-    events: HashMap<u64, u64>,
-    stats: CacheStats,
-}
-
-impl ResultCache {
-    /// The default on-disk location, relative to the workspace root.
-    pub fn default_dir() -> PathBuf {
-        PathBuf::from("results/cache")
-    }
-
-    /// Opens (creating if needed) the cache under [`Self::default_dir`].
-    pub fn open_default() -> std::io::Result<ResultCache> {
-        Self::open(Self::default_dir())
-    }
-
-    /// Opens (creating if needed) the cache file `runs.jsonl` under
-    /// `dir`, loading every readable record with the current schema.
-    ///
-    /// Lines that fail their CRC trailer (torn appends, bit flips,
-    /// pre-CRC caches) are moved to `runs.corrupt.jsonl` in the same
-    /// directory and the live file is compacted, so their keys come
-    /// back cold instead of serving damaged outcomes. Intact records
-    /// with a foreign schema tag stay in the file but are skipped.
-    pub fn open(dir: impl AsRef<Path>) -> std::io::Result<ResultCache> {
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.as_ref().join("runs.jsonl");
-        let mut cache = ResultCache {
-            path,
-            entries: HashMap::new(),
-            events: HashMap::new(),
-            stats: CacheStats::default(),
-        };
-        let text = match std::fs::read_to_string(&cache.path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(cache),
-            Err(e) => return Err(e),
-        };
-        let mut kept = Vec::new();
-        let mut quarantined = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match unseal(line) {
-                Some(json) => {
-                    kept.push(line);
-                    match decode_record(json) {
-                        Some((key, outcome, events)) => {
-                            if let Some(n) = events {
-                                let hint = cache.events.entry(key.0).or_insert(0);
-                                *hint = (*hint).max(n);
-                            }
-                            cache.entries.insert(key, outcome);
-                        }
-                        None => cache.stats.skipped += 1,
-                    }
-                }
-                None => quarantined.push(line),
-            }
+/// The one-line session summary the CLI bins print to stderr, e.g.
+/// `3 hits, 0 misses (0 runs simulated), 1 corrupt record(s) quarantined`.
+impl std::fmt::Display for CacheStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} hits, {} misses ({} runs simulated)", self.hits, self.misses, self.misses)?;
+        if self.quarantined > 0 {
+            write!(f, ", {} corrupt record(s) quarantined", self.quarantined)?;
         }
-        if !quarantined.is_empty() {
-            cache.stats.quarantined = quarantined.len() as u64;
-            let dir = dir.as_ref();
-            let mut corrupt =
-                std::fs::OpenOptions::new().create(true).append(true).open(dir.join("runs.corrupt.jsonl"))?;
-            for line in &quarantined {
-                corrupt.write_all(line.as_bytes())?;
-                corrupt.write_all(b"\n")?;
-            }
-            // Compact via tmp + rename so a crash mid-compaction
-            // leaves either the old file or the new one, never a
-            // half-written mixture.
-            let tmp = dir.join("runs.jsonl.tmp");
-            let mut clean = String::with_capacity(text.len());
-            for line in &kept {
-                clean.push_str(line);
-                clean.push('\n');
-            }
-            std::fs::write(&tmp, clean)?;
-            std::fs::rename(&tmp, &cache.path)?;
-        }
-        Ok(cache)
-    }
-
-    /// Wraps a freshly opened cache for sharing across runners.
-    pub fn shared(self) -> SharedCache {
-        Arc::new(ConcurrentCache::from_store(self))
-    }
-
-    /// Cached outcomes currently loaded.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Load-time counters (skipped and quarantined records); hits and
-    /// misses are counted by the [`ConcurrentCache`] a sweep uses.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
+        Ok(())
     }
 }
-
-// ---------------------------------------------------------------------
-// Concurrent form
-// ---------------------------------------------------------------------
 
 /// An immutable point-in-time view of the cache: workers resolve every
 /// lookup against one snapshot taken at sweep start, with no lock held
@@ -220,6 +111,10 @@ impl ResultCache {
 #[derive(Debug, Default, Clone)]
 pub struct CacheIndex {
     entries: HashMap<(u64, u64), Arc<RunOutcome>>,
+    /// Per-spec event counts (`stable_hash → events_processed`)
+    /// recorded alongside outcomes. Pure *scheduling* telemetry: the
+    /// runner uses them to order jobs longest-first; they never enter a
+    /// decoded outcome and never affect results.
     events: HashMap<u64, u64>,
 }
 
@@ -244,12 +139,22 @@ impl CacheIndex {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+
+    /// Folds one record in; the event hint keeps the largest count seen.
+    fn insert(&mut self, key: (u64, u64), outcome: Arc<RunOutcome>, events: Option<u64>) {
+        if let Some(n) = events {
+            let hint = self.events.entry(key.0).or_insert(0);
+            *hint = (*hint).max(n);
+        }
+        self.entries.insert(key, outcome);
+    }
 }
 
-/// The shared, thread-safe cache: lock-free read path (an `Arc`
-/// snapshot per sweep), a single writer lock held only while a batch
-/// commits, and atomic session counters. See the module docs'
-/// *Concurrency* section for the full story.
+/// A persistent `(stable_hash, replication) → RunOutcome` store backed
+/// by an append-only JSON-lines file, shared across threads: lock-free
+/// read path (an `Arc` snapshot per sweep), a single writer lock held
+/// only while a batch commits, and atomic session counters. See the
+/// module docs' *Concurrency* section for the full story.
 #[derive(Debug)]
 pub struct ConcurrentCache {
     path: PathBuf,
@@ -265,35 +170,81 @@ pub struct ConcurrentCache {
 }
 
 impl ConcurrentCache {
-    /// Opens (creating if needed) the cache under `dir` — the same
-    /// on-disk format, quarantine, and compaction as
-    /// [`ResultCache::open`].
-    pub fn open(dir: impl AsRef<Path>) -> std::io::Result<ConcurrentCache> {
-        Ok(Self::from_store(ResultCache::open(dir)?))
+    /// The default on-disk location, relative to the workspace root.
+    pub fn default_dir() -> PathBuf {
+        PathBuf::from("results/cache")
     }
 
-    /// Opens (creating if needed) the cache under
-    /// [`ResultCache::default_dir`].
+    /// Opens (creating if needed) the cache under [`Self::default_dir`].
     pub fn open_default() -> std::io::Result<ConcurrentCache> {
-        Ok(Self::from_store(ResultCache::open_default()?))
+        Self::open(Self::default_dir())
     }
 
-    /// Builds the concurrent form from a loaded store, adopting its
-    /// entries, hints, and load-time stats.
-    pub fn from_store(store: ResultCache) -> ConcurrentCache {
-        let index = CacheIndex {
-            entries: store.entries.into_iter().map(|(k, v)| (k, Arc::new(v))).collect(),
-            events: store.events,
+    /// Opens (creating if needed) the cache file `runs.jsonl` under
+    /// `dir`, loading every readable record with the current schema.
+    ///
+    /// Lines that fail their CRC trailer (torn appends, bit flips,
+    /// pre-CRC caches) are moved to `runs.corrupt.jsonl` in the same
+    /// directory and the live file is compacted, so their keys come
+    /// back cold instead of serving damaged outcomes. Intact records
+    /// with a foreign schema tag stay in the file but are skipped.
+    pub fn open(dir: impl AsRef<Path>) -> std::io::Result<ConcurrentCache> {
+        let dir = dir.as_ref();
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join("runs.jsonl");
+        let text = match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+            Err(e) => return Err(e),
         };
-        ConcurrentCache {
-            path: store.path,
+        let mut index = CacheIndex::default();
+        let mut skipped = 0;
+        let mut kept = Vec::new();
+        let mut quarantined = Vec::new();
+        for line in text.lines() {
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
+            }
+            match unseal(line) {
+                Some(json) => {
+                    kept.push(line);
+                    match decode_record(json) {
+                        Some((key, outcome, events)) => index.insert(key, Arc::new(outcome), events),
+                        None => skipped += 1,
+                    }
+                }
+                None => quarantined.push(line),
+            }
+        }
+        if !quarantined.is_empty() {
+            let mut corrupt =
+                std::fs::OpenOptions::new().create(true).append(true).open(dir.join("runs.corrupt.jsonl"))?;
+            for line in &quarantined {
+                corrupt.write_all(line.as_bytes())?;
+                corrupt.write_all(b"\n")?;
+            }
+            // Compact via tmp + rename so a crash mid-compaction
+            // leaves either the old file or the new one, never a
+            // half-written mixture.
+            let tmp = dir.join("runs.jsonl.tmp");
+            let mut clean = String::with_capacity(text.len());
+            for line in &kept {
+                clean.push_str(line);
+                clean.push('\n');
+            }
+            std::fs::write(&tmp, clean)?;
+            std::fs::rename(&tmp, &path)?;
+        }
+        Ok(ConcurrentCache {
+            path,
             writer: Mutex::new(()),
             index: RwLock::new(Arc::new(index)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            skipped: store.stats.skipped,
-            quarantined: store.stats.quarantined,
-        }
+            skipped,
+            quarantined: quarantined.len() as u64,
+        })
     }
 
     /// The current snapshot. Take one per sweep and resolve every
@@ -356,11 +307,8 @@ impl ConcurrentCache {
         // not copied), fold the batch in, swap the snapshot.
         let mut next = (*self.index()).clone();
         for (hash, rep, _, outcome) in records {
-            if outcome.perf.events_processed > 0 {
-                let hint = next.events.entry(*hash).or_insert(0);
-                *hint = (*hint).max(outcome.perf.events_processed);
-            }
-            next.entries.insert((*hash, *rep), Arc::new((*outcome).clone()));
+            let events = (outcome.perf.events_processed > 0).then_some(outcome.perf.events_processed);
+            next.insert((*hash, *rep), Arc::new((*outcome).clone()), events);
         }
         *self.index.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
         Ok(())
@@ -947,7 +895,7 @@ mod tests {
                 .replace(CACHE_SCHEMA, "hydra-agg.run.v0"),
         );
         std::fs::write(dir.join("runs.jsonl"), format!("{foreign}\nnot json at all\n{good}\n")).unwrap();
-        let c = ResultCache::open(&dir).unwrap();
+        let c = ConcurrentCache::open(&dir).unwrap();
         assert_eq!(c.len(), 1, "only the current-schema record loads");
         assert_eq!(c.stats().skipped, 1, "intact foreign record is skipped, not quarantined");
         assert_eq!(c.stats().quarantined, 1, "trailer-less garbage is quarantined");
@@ -1051,7 +999,7 @@ mod tests {
         let spec = tiny_spec();
         let spec2 = tiny_spec().with_seed(2);
         let (outcome, outcome2) = (spec.run(), spec2.run());
-        let cache = ResultCache::open(&dir).unwrap().shared();
+        let cache = ConcurrentCache::open(&dir).unwrap();
         let before = cache.index();
         cache
             .append_batch(&[

@@ -6,8 +6,9 @@
 //! quarantine path must keep working on the co-written file.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
-use hydra_bench::{ExperimentRunner, ResultCache};
+use hydra_bench::{ConcurrentCache, ExperimentRunner};
 use hydra_netsim::{Policy, ScenarioSpec, TopologyKind};
 use hydra_phy::Rate;
 use hydra_sim::Duration;
@@ -40,8 +41,8 @@ fn concurrent_runners_lose_nothing_and_duplicate_nothing() {
     // Two independent handles on one directory, driven from two OS
     // threads at once (each handle is itself shared with the runner's
     // own workers).
-    let cache_a = ResultCache::open(&dir).unwrap().shared();
-    let cache_b = ResultCache::open(&dir).unwrap().shared();
+    let cache_a = Arc::new(ConcurrentCache::open(&dir).unwrap());
+    let cache_b = Arc::new(ConcurrentCache::open(&dir).unwrap());
     let (cells_a, cells_b) = std::thread::scope(|scope| {
         let a =
             scope.spawn(|| ExperimentRunner::new(2).with_cache(cache_a.clone()).run_sweep(&specs_a, SEEDS));
@@ -63,10 +64,9 @@ fn concurrent_runners_lose_nothing_and_duplicate_nothing() {
     assert_eq!(text.lines().count(), 2 * 3 * SEEDS as usize, "every record lands exactly once");
 
     // A cold reopen sees the union and serves both sweeps warm.
-    let warm = ResultCache::open(&dir).unwrap();
-    assert_eq!(warm.len(), 2 * 3 * SEEDS as usize);
-    assert_eq!(warm.stats().quarantined, 0, "concurrent appends tore nothing");
-    let shared = warm.shared();
+    let shared = Arc::new(ConcurrentCache::open(&dir).unwrap());
+    assert_eq!(shared.len(), 2 * 3 * SEEDS as usize);
+    assert_eq!(shared.stats().quarantined, 0, "concurrent appends tore nothing");
     let runner = ExperimentRunner::sequential().with_cache(shared.clone());
     let warm_a = runner.run_sweep(&specs_a, SEEDS);
     let warm_b = runner.run_sweep(&specs_b, SEEDS);
@@ -84,7 +84,7 @@ fn quarantine_still_works_on_a_co_written_file() {
     let dir = tmp_dir("quarantine");
     let specs: Vec<ScenarioSpec> = (21..=22).map(tiny_spec).collect();
     {
-        let cache = ResultCache::open(&dir).unwrap().shared();
+        let cache = Arc::new(ConcurrentCache::open(&dir).unwrap());
         ExperimentRunner::new(2).with_cache(cache).run_sweep(&specs, 1);
     }
     // A torn tail, as a crashed concurrent writer would leave.
@@ -93,12 +93,12 @@ fn quarantine_still_works_on_a_co_written_file() {
     file.write_all(b"{\"schema\":\"hydra-agg.run.v2\",\"hash\":\"0x0\",\"rep\":9,\"outc").unwrap();
     drop(file);
 
-    let cache = ResultCache::open(&dir).unwrap();
+    let cache = ConcurrentCache::open(&dir).unwrap();
     assert_eq!(cache.stats().quarantined, 1, "the torn fragment is quarantined");
     assert_eq!(cache.len(), 2, "intact records survive");
     assert!(dir.join("runs.corrupt.jsonl").exists());
     // The compacted file still round-trips cleanly.
-    let again = ResultCache::open(&dir).unwrap();
+    let again = ConcurrentCache::open(&dir).unwrap();
     assert_eq!(again.stats().quarantined, 0);
     assert_eq!(again.len(), 2);
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,4 +1,4 @@
-//! # hydra-netsim — node assembly, topologies, scenarios, metrics
+//! # hydra-netsim — node assembly, topologies, scenario specs, metrics
 //!
 //! Wires the sans-IO layers ([`hydra_core::Mac`], [`hydra_net::NetStack`],
 //! [`hydra_tcp::TcpStack`], the apps) to the event queue and the shared
@@ -9,9 +9,6 @@
 //!   UDP CBR, and on/off bursts can share one world), warmup/duration,
 //!   seed. `build()` yields a ready [`World`], `run()` a
 //!   [`spec::RunOutcome`] with labeled [`metrics::FlowOutcome`]s.
-//! * [`scenario::TcpScenario`] / [`scenario::UdpScenario`] — thin
-//!   paper-era front-ends over the spec (file transfers over chains,
-//!   stars, grids, crosses; CBR with optional flooding).
 //!
 //! Every run is deterministic in its spec + seed — on any thread, in
 //! any order.
@@ -27,7 +24,6 @@
 
 pub mod metrics;
 pub mod node;
-pub mod scenario;
 pub mod scn;
 pub mod spec;
 pub mod topology;
@@ -35,7 +31,6 @@ pub mod world;
 
 pub use metrics::{mbps, FlowKind, FlowOutcome, NodeReport, RunReport};
 pub use node::{Apps, Node};
-pub use scenario::{TcpRunResult, TcpScenario, UdpRunResult, UdpScenario};
 pub use scn::{parse_scn, parse_scn_file, render_scn, ScnError, SweepFile, SweepMeta};
 pub use spec::{
     Flooding, Flow, FlowSpec, FlowTraffic, LinkErrorSpec, Policy, RunBudget, RunError, RunOutcome, RunPerf,

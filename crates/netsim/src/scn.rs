@@ -235,7 +235,9 @@ fn rate_to_text(r: Rate) -> &'static str {
     }
 }
 
-fn rate_from_text(s: &str) -> Result<Rate, String> {
+/// Parses a rate token (`0.65`, `1.3`/`1.30`, … `6.5`), as `rate=`
+/// and `bcast=` take it.
+pub fn rate_from_text(s: &str) -> Result<Rate, String> {
     Ok(match s {
         "0.65" => Rate::R0_65,
         "1.3" | "1.30" => Rate::R1_30,
@@ -259,7 +261,8 @@ fn policy_to_text(p: Policy) -> &'static str {
     }
 }
 
-fn policy_from_text(s: &str) -> Result<Policy, String> {
+/// Parses a policy token (`na|ua|ba|dba|ba-nofwd`), as `policy=` takes it.
+pub fn policy_from_text(s: &str) -> Result<Policy, String> {
     Ok(match s {
         "na" => Policy::Na,
         "ua" => Policy::Ua,
@@ -280,7 +283,10 @@ fn topo_to_text(t: TopologyKind) -> String {
     }
 }
 
-fn topo_from_text(s: &str) -> Result<TopologyKind, String> {
+/// Parses a topology token (`linear:H|star|grid:WxH|cross|mesh:NODES:AREA:SEED`),
+/// as `topo=` takes it; degenerate shapes (0 hops, fewer than 2 nodes)
+/// are errors.
+pub fn topo_from_text(s: &str) -> Result<TopologyKind, String> {
     if s == "star" {
         return Ok(TopologyKind::Star);
     }
@@ -336,8 +342,9 @@ fn f64_from_text(s: &str) -> Result<f64, String> {
     Ok(v)
 }
 
-/// A probability: a finite float in `0.0..=1.0`.
-fn prob_from_text(s: &str) -> Result<f64, String> {
+/// Parses a probability: a finite float in `0.0..=1.0`, as `fault=`
+/// and `link_error=` take it.
+pub fn prob_from_text(s: &str) -> Result<f64, String> {
     let v = f64_from_text(s)?;
     if !(0.0..=1.0).contains(&v) {
         return Err(format!("probability `{s}` is outside 0..=1"));

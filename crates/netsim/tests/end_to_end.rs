@@ -1,14 +1,14 @@
 //! End-to-end integration: full stack (app → TCP → IP → MAC → PHY →
 //! medium and back) on the paper's topologies.
 
-use hydra_netsim::{Policy, TcpScenario, TopologyKind, UdpScenario};
+use hydra_netsim::{Flooding, FlowKind, FlowSpec, FlowTraffic, Policy, ScenarioSpec, TopologyKind, Traffic};
 use hydra_phy::Rate;
 use hydra_sim::Duration;
 
 #[test]
 fn two_hop_tcp_transfer_completes_under_every_policy() {
     for policy in Policy::ALL {
-        let r = TcpScenario::new(TopologyKind::Linear(2), policy, Rate::R1_30).run();
+        let r = ScenarioSpec::tcp(TopologyKind::Linear(2), policy, Rate::R1_30).run();
         assert!(r.completed, "{}: transfer did not complete", policy.name());
         assert!(
             r.throughput_bps > 50_000.0,
@@ -27,17 +27,17 @@ fn two_hop_tcp_transfer_completes_under_every_policy() {
 
 #[test]
 fn three_hop_tcp_transfer_completes() {
-    let r = TcpScenario::new(TopologyKind::Linear(3), Policy::Ba, Rate::R2_60).run();
+    let r = ScenarioSpec::tcp(TopologyKind::Linear(3), Policy::Ba, Rate::R2_60).run();
     assert!(r.completed);
     assert!(r.throughput_bps > 50_000.0);
 }
 
 #[test]
 fn star_runs_two_sessions() {
-    let r = TcpScenario::new(TopologyKind::Star, Policy::Ba, Rate::R1_30).run();
+    let r = ScenarioSpec::tcp(TopologyKind::Star, Policy::Ba, Rate::R1_30).run();
     assert!(r.completed);
-    assert_eq!(r.per_session_bps.len(), 2);
-    for t in &r.per_session_bps {
+    assert_eq!(r.per_flow_bps().len(), 2);
+    for t in &r.per_flow_bps() {
         assert!(*t > 20_000.0, "session throughput {t}");
     }
 }
@@ -46,9 +46,9 @@ fn star_runs_two_sessions() {
 fn aggregation_ordering_holds_at_high_rate() {
     // The paper's headline: BA > UA > NA (Figure 11), most visible at
     // the highest rate.
-    let na = TcpScenario::new(TopologyKind::Linear(2), Policy::Na, Rate::R2_60).run();
-    let ua = TcpScenario::new(TopologyKind::Linear(2), Policy::Ua, Rate::R2_60).run();
-    let ba = TcpScenario::new(TopologyKind::Linear(2), Policy::Ba, Rate::R2_60).run();
+    let na = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Na, Rate::R2_60).run();
+    let ua = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ua, Rate::R2_60).run();
+    let ba = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R2_60).run();
     assert!(na.completed && ua.completed && ba.completed);
     assert!(
         ua.throughput_bps > na.throughput_bps * 1.2,
@@ -66,8 +66,8 @@ fn aggregation_ordering_holds_at_high_rate() {
 
 #[test]
 fn classified_acks_flow_in_ba_but_not_ua() {
-    let ua = TcpScenario::new(TopologyKind::Linear(2), Policy::Ua, Rate::R1_30).run();
-    let ba = TcpScenario::new(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30).run();
+    let ua = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ua, Rate::R1_30).run();
+    let ba = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30).run();
     let ua_acks: u64 = ua.report.nodes.iter().map(|n| n.acks_classified).sum();
     let ba_acks: u64 = ba.report.nodes.iter().map(|n| n.acks_classified).sum();
     assert_eq!(ua_acks, 0, "UA must not classify ACKs");
@@ -81,38 +81,47 @@ fn classified_acks_flow_in_ba_but_not_ua() {
 
 #[test]
 fn udp_one_hop_flows() {
-    let r = UdpScenario::new(1, Policy::Ua, Rate::R0_65, Duration::from_millis(10)).run();
+    let r =
+        ScenarioSpec::udp(TopologyKind::Linear(1), Policy::Ua, Rate::R0_65, Duration::from_millis(10)).run();
     // Offered load 1045 B / 10 ms ≈ 0.84 Mbps > capacity: saturated.
-    assert!(r.goodput_bps > 200_000.0, "goodput {}", r.goodput_bps);
-    assert!(r.goodput_bps < 650_000.0);
+    assert!(r.throughput_bps > 200_000.0, "goodput {}", r.throughput_bps);
+    assert!(r.throughput_bps < 650_000.0);
 }
 
 #[test]
 fn udp_two_hop_aggregation_beats_na() {
-    let na = UdpScenario::new(2, Policy::Na, Rate::R1_30, Duration::from_millis(12)).run();
-    let ua = UdpScenario::new(2, Policy::Ua, Rate::R1_30, Duration::from_millis(12)).run();
-    assert!(ua.goodput_bps > na.goodput_bps, "UA {} must beat NA {}", ua.goodput_bps, na.goodput_bps);
+    let na =
+        ScenarioSpec::udp(TopologyKind::Linear(2), Policy::Na, Rate::R1_30, Duration::from_millis(12)).run();
+    let ua =
+        ScenarioSpec::udp(TopologyKind::Linear(2), Policy::Ua, Rate::R1_30, Duration::from_millis(12)).run();
+    assert!(
+        ua.throughput_bps > na.throughput_bps,
+        "UA {} must beat NA {}",
+        ua.throughput_bps,
+        na.throughput_bps
+    );
 }
 
 #[test]
 fn flooding_reduces_goodput_more_without_aggregation() {
     // Flooding only bites when the link is saturated (12 ms CBR interval
     // offers ~0.7 Mbps against ~0.4 Mbps of 2-hop NA capacity).
-    let quiet = UdpScenario::new(2, Policy::Na, Rate::R1_30, Duration::from_millis(12)).run();
-    let noisy = UdpScenario::new(2, Policy::Na, Rate::R1_30, Duration::from_millis(12))
-        .with_flooding(Duration::from_millis(100))
-        .run();
+    let quiet =
+        ScenarioSpec::udp(TopologyKind::Linear(2), Policy::Na, Rate::R1_30, Duration::from_millis(12)).run();
+    let mut noisy =
+        ScenarioSpec::udp(TopologyKind::Linear(2), Policy::Na, Rate::R1_30, Duration::from_millis(12));
+    noisy.flooding = Some(Flooding { interval: Duration::from_millis(100), payload: 120 });
+    let noisy = noisy.run();
     assert!(
-        noisy.goodput_bps < quiet.goodput_bps,
+        noisy.throughput_bps < quiet.throughput_bps,
         "flooding must hurt: {} vs {}",
-        noisy.goodput_bps,
-        quiet.goodput_bps
+        noisy.throughput_bps,
+        quiet.throughput_bps
     );
 }
 
 #[test]
 fn mixed_tcp_and_cbr_share_one_world() {
-    use hydra_netsim::{FlowKind, FlowSpec, FlowTraffic, ScenarioSpec, Traffic};
     let mut spec = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30);
     spec.traffic = Traffic::FileTransfer { bytes: 50 * 1024 };
     spec.warmup = Duration::from_millis(500);
@@ -142,7 +151,6 @@ fn mixed_tcp_and_cbr_share_one_world() {
 
 #[test]
 fn background_load_slows_the_foreground_transfer() {
-    use hydra_netsim::{FlowSpec, FlowTraffic, ScenarioSpec, Traffic};
     let mut alone = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30);
     alone.traffic = Traffic::FileTransfer { bytes: 50 * 1024 };
     let quiet = alone.clone().run();
@@ -169,7 +177,6 @@ fn background_load_slows_the_foreground_transfer() {
 
 #[test]
 fn on_off_background_flows_deliver() {
-    use hydra_netsim::{FlowKind, FlowSpec, FlowTraffic, ScenarioSpec, Traffic};
     let mut spec =
         ScenarioSpec::udp(TopologyKind::Linear(1), Policy::Ua, Rate::R1_30, Duration::from_millis(20));
     spec.warmup = Duration::from_millis(500);
@@ -196,19 +203,17 @@ fn on_off_background_flows_deliver() {
 
 #[test]
 fn runs_are_deterministic() {
-    let a = TcpScenario::new(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30).with_seed(7).run();
-    let b = TcpScenario::new(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30).with_seed(7).run();
-    assert_eq!(a.throughput_bps, b.throughput_bps);
-    assert_eq!(a.report.total_data_txs(), b.report.total_data_txs());
-    assert_eq!(a.report.relay().avg_frame_size, b.report.relay().avg_frame_size);
+    let a = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30).with_seed(7).run();
+    let b = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30).with_seed(7).run();
+    assert_eq!(a, b);
     // A different seed changes backoff draws; results differ slightly.
-    let c = TcpScenario::new(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30).with_seed(8).run();
+    let c = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30).with_seed(8).run();
     assert!(c.completed);
 }
 
 #[test]
 fn relay_aggregates_under_ba() {
-    let r = TcpScenario::new(TopologyKind::Linear(2), Policy::Ba, Rate::R2_60).run();
+    let r = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R2_60).run();
     let relay = r.report.relay();
     assert!(relay.avg_subframes > 1.5, "relay should aggregate: avg {} subframes", relay.avg_subframes);
     assert!(relay.avg_frame_size > 1500.0, "avg frame {}", relay.avg_frame_size);
@@ -216,7 +221,7 @@ fn relay_aggregates_under_ba() {
 
 #[test]
 fn na_sends_single_subframe_frames() {
-    let r = TcpScenario::new(TopologyKind::Linear(2), Policy::Na, Rate::R1_30).run();
+    let r = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Na, Rate::R1_30).run();
     for n in &r.report.nodes {
         if n.tx_data_frames > 0 {
             assert!(
@@ -231,7 +236,6 @@ fn na_sends_single_subframe_frames() {
 
 #[test]
 fn grid_corner_to_corner_transfer_completes() {
-    use hydra_netsim::{ScenarioSpec, Traffic};
     // 3x2 grid, corner-to-corner: 3 hops under x-first routing.
     let mut spec = ScenarioSpec::tcp(TopologyKind::Grid { w: 3, h: 2 }, Policy::Ba, Rate::R2_60);
     spec.traffic = Traffic::FileTransfer { bytes: 50 * 1024 };
@@ -244,7 +248,6 @@ fn grid_corner_to_corner_transfer_completes() {
 
 #[test]
 fn cross_runs_two_sessions_through_shared_relay() {
-    use hydra_netsim::{ScenarioSpec, Traffic};
     let mut spec = ScenarioSpec::tcp(TopologyKind::Cross, Policy::Ba, Rate::R1_30);
     spec.traffic = Traffic::FileTransfer { bytes: 30 * 1024 };
     let r = spec.run();

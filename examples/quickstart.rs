@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use hydra_agg::netsim::{Policy, TcpScenario, TopologyKind};
+use hydra_agg::netsim::{Policy, ScenarioSpec, TopologyKind};
 use hydra_agg::phy::Rate;
 
 fn main() {
@@ -15,7 +15,7 @@ fn main() {
     println!("2-hop TCP file transfer at {rate} (0.2 MB, paper §5 parameters)\n");
     let mut baseline = None;
     for policy in [Policy::Na, Policy::Ua, Policy::Ba] {
-        let result = TcpScenario::new(TopologyKind::Linear(2), policy, rate).run();
+        let result = ScenarioSpec::tcp(TopologyKind::Linear(2), policy, rate).run();
         assert!(result.completed, "transfer did not finish");
         let mbps = result.throughput_bps / 1e6;
         let gain =

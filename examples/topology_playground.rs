@@ -1,6 +1,6 @@
 //! Build a topology the paper never ran: a 4-hop chain with a custom MAC
 //! config per node, assembled from the library pieces directly (no
-//! scenario preset). Shows how a downstream user composes Topology,
+//! `ScenarioSpec`). Shows how a downstream user composes Topology,
 //! World, MacConfig, and the apps by hand.
 //!
 //! Run with: `cargo run --release --example topology_playground`

@@ -18,7 +18,7 @@
 //! * [`net`] — IPv4 with static routing and forwarding;
 //! * [`tcp`] — a deterministic NewReno TCP;
 //! * [`app`] — the paper's workloads (UDP CBR, flooding, file transfer);
-//! * [`netsim`] — node assembly, topologies, scenario presets, metrics.
+//! * [`netsim`] — node assembly, topologies, scenario specs, metrics.
 //!
 //! The experiment harness itself (grids, the parallel runner, the
 //! persistent result cache, and the `all`/`sweep`/`scenario` binaries)
@@ -31,14 +31,14 @@
 //! ## Quickstart
 //!
 //! ```
-//! use hydra_agg::netsim::{Policy, TcpScenario, TopologyKind};
+//! use hydra_agg::netsim::{Policy, ScenarioSpec, TopologyKind, Traffic};
 //! use hydra_agg::phy::Rate;
 //!
 //! // The paper's headline experiment: a 0.2 MB transfer over two hops
 //! // with TCP ACKs riding as broadcast subframes (Figure 11, "BA").
-//! let mut scenario = TcpScenario::new(TopologyKind::Linear(2), Policy::Ba, Rate::R2_60);
-//! scenario.file_bytes = 20 * 1024; // trimmed for the doctest
-//! let result = scenario.run();
+//! let mut spec = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R2_60);
+//! spec.traffic = Traffic::FileTransfer { bytes: 20 * 1024 }; // trimmed for the doctest
+//! let result = spec.run();
 //! assert!(result.completed);
 //! println!("end-to-end throughput: {:.3} Mbps", result.throughput_bps / 1e6);
 //! ```
@@ -58,7 +58,7 @@ pub use hydra_wire as wire;
 /// Commonly used items in one import.
 pub mod prelude {
     pub use hydra_core::{AckPolicy, AggPolicy, AggSizing, Mac, MacConfig};
-    pub use hydra_netsim::{MediumKind, Policy, TcpScenario, Topology, TopologyKind, UdpScenario, World};
+    pub use hydra_netsim::{MediumKind, Policy, ScenarioSpec, Topology, TopologyKind, Traffic, World};
     pub use hydra_phy::{PhyProfile, Rate};
     pub use hydra_sim::{Duration, Instant};
     pub use hydra_wire::{Ipv4Addr, MacAddr};
